@@ -4,16 +4,25 @@ Frames wait here between arrival and forwarding. The queue is kept in
 descending weight order, where weight trades importance against remaining
 tolerable queuing time; selection of the forwarded / dropped / retained
 split is a budgeted prefix walk over that order.
+
+At time t a frame's weight is gamma - beta * (D - (t - t_arrival)) / 1000,
+with the bound D and times in ms. Every term that changes with t is the
+same for all frames of one queue: t itself, and, where the short timescale
+revises bounds to D = deadline - v, the flow's network state v. So two
+frames compare the same way at every tick, and each frame's rank is fixed
+once, when it is pushed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .video import FrameMeta
 
 US_PER_MS = 1000.0
+US_PER_S = 1_000_000.0
 
 
 @dataclass
@@ -25,8 +34,9 @@ class QueuedFrame:
     ddl_ms: float        # deadline as read off the wire
     bound_ms: float      # current queuing-delay bound D
     remaining: int       # unsent bytes
-    weight: float = 0.0
+    weight: float = 0.0  # weight at t = 0 under the queue's ranking bound; set by push
     in_service: bool = False  # partially transmitted; pinned at the head
+    key: tuple = ()      # (-weight, c, m, k): the queue's sort key; set by push
 
     @property
     def gamma(self) -> float:
@@ -81,23 +91,45 @@ def quality_loss(forwarded: Iterable, dropped: Iterable) -> float:
     return lost / total
 
 
+_sort_key = attrgetter("key")
+
+
 class FrameQueue:
     """Weight-ordered frame queue for one flow.
 
     A frame whose transmission was interrupted mid-frame stays pinned at the
     head: its bytes are already committed, so it is neither resorted away
     nor expired out.
+
+    ``revised`` says whether every queued bound is reset to deadline - v
+    before each resort (the short timescale does this). Frames are then
+    ranked by their wire deadline, since v shifts all bounds alike;
+    otherwise by the bound each frame arrived with, which never changes.
     """
 
-    def __init__(self, beta: float = 0.01, ordered: bool = True):
+    def __init__(self, beta: float = 0.01, ordered: bool = True,
+                 revised: bool = False):
         self.beta = beta
         self.ordered = ordered  # False = FIFO (ordering ablation, RR, EDF)
+        self.revised = revised
         self.frames: list[QueuedFrame] = []
 
     def __len__(self) -> int:
         return len(self.frames)
 
     def push(self, frame: QueuedFrame) -> None:
+        """Append at the tail; the frame takes its place at the next resort.
+
+        The rank instant (ranking bound + arrival) is exact for whole-ms
+        deadlines and whole-us arrivals, so frames tied on importance and
+        on that instant tie exactly and fall back to frame id order.
+        """
+        if self.ordered:
+            bound_ms = frame.ddl_ms if self.revised else frame.bound_ms
+            instant_us = bound_ms * US_PER_MS + frame.t_arrival_us
+            frame.weight = frame.meta.gamma - self.beta * instant_us / US_PER_S
+            fid = frame.meta.id
+            frame.key = (-frame.weight, fid.c, fid.m, fid.k)
         self.frames.append(frame)
 
     def head(self) -> Optional[QueuedFrame]:
@@ -107,30 +139,40 @@ class FrameQueue:
         return self.frames.pop(0)
 
     def resort(self, now_us: int) -> None:
-        """Recompute weights and re-order by descending weight.
+        """Order by descending weight, merging in the frames pushed since.
 
-        Tolerable time enters the weight in seconds. Ties fall back to frame
-        id order. No-op for FIFO queues.
+        The order is the same at any ``now_us``: the sort runs on the keys
+        fixed at push, over a body that is already sorted apart from its
+        tail of new arrivals. Ties fall back to frame id order. The pinned
+        head stays first. No-op for FIFO queues.
         """
-        for f in self.frames:
-            f.weight = f.gamma - self.beta * tolerable_time(f, now_us) / 1000.0
         if not self.ordered:
             return
-        pinned = self.frames[0] if self.frames and self.frames[0].in_service else None
-        body = self.frames[1:] if pinned is not None else self.frames
-        body = sorted(body, key=lambda f: (-f.weight, f.meta.id))
-        self.frames = ([pinned] + body) if pinned is not None else body
+        frames = self.frames
+        if frames and frames[0].in_service:
+            body = frames[1:]
+            body.sort(key=_sort_key)
+            frames[1:] = body
+        else:
+            frames.sort(key=_sort_key)
 
     def sweep_expired(self, now_us: int) -> list[QueuedFrame]:
-        """Remove and return every expired frame (pinned head excluded)."""
-        keep: list[QueuedFrame] = []
+        """Remove and return every expired frame (pinned head excluded).
+
+        The list is rebuilt only when something expired.
+        """
         expired: list[QueuedFrame] = []
-        for f in self.frames:
-            if not f.in_service and tolerable_time(f, now_us) < 0:
+        keep: Optional[list[QueuedFrame]] = None
+        for i, f in enumerate(self.frames):
+            # tolerable_time, inlined
+            if f.bound_ms - (now_us - f.t_arrival_us) / US_PER_MS < 0 and not f.in_service:
+                if keep is None:
+                    keep = self.frames[:i]
                 expired.append(f)
-            else:
+            elif keep is not None:
                 keep.append(f)
-        self.frames = keep
+        if keep is not None:
+            self.frames = keep
         return expired
 
     def departing_set(self, delta_ms: float, now_us: int) -> list[QueuedFrame]:

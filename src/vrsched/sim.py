@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, NamedTuple, Optional
 
@@ -189,7 +189,8 @@ class Simulation:
                 flow=f,
                 trace=trace,
                 queue=FrameQueue(
-                    beta=config.beta, ordered=self.policy.uses_weight_order
+                    beta=config.beta, ordered=self.policy.uses_weight_order,
+                    revised=self.policy.uses_st,
                 ),
                 tracker=FlowDelayState(
                     alpha=config.ewma_alpha,
@@ -202,6 +203,7 @@ class Simulation:
                 ),
             )
 
+        self._queues = {f: rt.queue for f, rt in self.flows.items()}
         self.forwarder = DwrrForwarder(
             list(self.flows), purge_expired=config.proactive_drop
         )
@@ -298,13 +300,11 @@ class Simulation:
         rt.send_seq[meta.id] = seq
 
         rtt_ms, ref_offset = 0, 0
-        mark_meta = meta
         if rt.latest_mark is not None:
-            mark_rtt, ref_id, ref_seq = rt.latest_mark
+            mark_rtt, _ref_id, ref_seq = rt.latest_mark
             offset = seq - ref_seq
             if 1 <= offset <= 255:
                 rtt_ms, ref_offset = mark_rtt, offset
-                mark_meta = replace(meta, rtt_mark=(mark_rtt, ref_id))
         opt = wire.MetadataOption(
             vr_flag=True,
             chunk=meta.id.c,
@@ -319,7 +319,7 @@ class Simulation:
         rt.generated += 1
         rt.in_flight += 1
         arrival = inject_delay(now_us, self.link, rt.jitter_rng)
-        self._push(arrival, EV_ARRIVAL, flow, (mark_meta, packet))
+        self._push(arrival, EV_ARRIVAL, flow, (meta, packet))
 
         rt.next_send = idx + 1
         if rt.next_send < len(rt.trace.frames):
@@ -559,7 +559,7 @@ class Simulation:
         served, so the bound check reflects the true service time rather
         than the tick that granted the credit.
         """
-        queues = {f: rt.queue for f, rt in self.flows.items()}
+        queues = self._queues
         while self.link_busy_until_us <= now_us:
             act = self.forwarder.next_action(queues, now_us)
             if act is None:
@@ -573,7 +573,7 @@ class Simulation:
     def _edf_kick(self, now_us: int) -> None:
         if self.link_busy_until_us > now_us:
             return
-        queues = {f: rt.queue for f, rt in self.flows.items()}
+        queues = self._queues
         if self.config.proactive_drop:
             for f, q in queues.items():
                 while q.head() is not None and tolerable_time(q.head(), now_us) < 0:

@@ -12,6 +12,7 @@ to integer microseconds internally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -109,7 +110,6 @@ class FrameMeta:
     gamma: float                  # importance in [0, 1]
     deadline_ms: float            # remaining lifetime at send time
     send_time_ms: float           # server send instant, flow-relative
-    rtt_mark: Optional[tuple[float, FrameId]] = None  # (rtt_ms, reference frame)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -131,7 +131,7 @@ class FlowTrace:
     frames: tuple[FrameMeta, ...]
     viewing_prob: Mapping[int, Mapping[int, float]] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def n_chunks(self) -> int:
         return max((f.id.c for f in self.frames), default=0)
 

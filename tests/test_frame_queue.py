@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import make_frame
+from vrsched.delay import revise_bounds
 from vrsched.frame_queue import FrameQueue, quality_loss, split_sets, tolerable_time
 
 MS = 1000  # microseconds per millisecond
@@ -184,3 +187,97 @@ class TestQueueMaintenance:
         q.push(dead)
         assert q.sweep_expired(0) == []
         assert q.frames == [dead]
+
+
+GAMMAS = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
+TICK_US = 50 * MS
+# network states on a 1/1024 ms grid keep arrival bounds exact, so ranks
+# that differ at all differ by far more than float rounding
+NET_STATES = st.integers(-50 * 1024, 200 * 1024).map(lambda i: i / 1024)
+
+
+def tick_weight(frame, beta, now_us):
+    """A frame's weight at ``now_us`` under its current bound."""
+    return frame.gamma - beta * tolerable_time(frame, now_us) / 1000.0
+
+
+def exact_rank(frame, revised, beta):
+    """The weight at t = 0, in exact arithmetic, under the ranking bound."""
+    bound = frame.ddl_ms if revised else frame.bound_ms
+    return (Fraction(frame.gamma)
+            - Fraction(beta) * (Fraction(bound) + Fraction(frame.t_arrival_us, MS)) / 1000)
+
+
+class TestStaticOrder:
+    @given(
+        ticks=st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.sampled_from(GAMMAS), st.integers(0, 300),
+                                   st.integers(0, TICK_US - 1), st.integers(1, 3)),
+                         max_size=8),
+                NET_STATES,
+            ),
+            min_size=1, max_size=6,
+        ),
+        revised=st.booleans(),
+    )
+    def test_resort_matches_per_tick_weight_order(self, ticks, revised):
+        beta = 0.01
+        q = FrameQueue(beta=beta, revised=revised)
+        v_prev = 20.0
+        k = 0
+        for n, (arrivals, v) in enumerate(ticks):
+            for gamma, ddl, offset, c in arrivals:
+                k += 1
+                q.push(make_frame(c=c, k=k, gamma=gamma, ddl_ms=float(ddl),
+                                  bound_ms=ddl - v_prev, arrival_us=n * TICK_US + offset))
+            now_us = (n + 1) * TICK_US
+            if revised:
+                revise_bounds(q.frames, v)
+            v_prev = v
+            q.resort(now_us)
+            for a, b in zip(q.frames, q.frames[1:]):
+                if exact_rank(a, revised, beta) == exact_rank(b, revised, beta):
+                    if a.gamma == b.gamma:
+                        assert a.meta.id < b.meta.id
+                else:
+                    assert tick_weight(a, beta, now_us) > tick_weight(b, beta, now_us)
+
+    @given(
+        ddl=st.integers(500, 3000),
+        arrival_us=st.integers(0, 10**8),
+        shifts=st.lists(st.integers(0, 499), min_size=2, max_size=5, unique=True),
+        now_us=st.integers(0, 10**9),
+        v=st.floats(-50.0, 200.0),
+    )
+    # per-tick float weights put frame 2 first here
+    @example(ddl=1350, arrival_us=41938956, shifts=[0, 399], now_us=44040388,
+             v=86.19326635270949)
+    # an instant summed in float ms puts frame 2 first here
+    @example(ddl=2693, arrival_us=4062551, shifts=[460, 0], now_us=0, v=0.0)
+    def test_ties_on_deadline_plus_arrival_break_by_frame_id(
+            self, ddl, arrival_us, shifts, now_us, v):
+        # each frame trades j ms of deadline for j ms of later arrival
+        q = FrameQueue(beta=0.01, revised=True)
+        for k, j in sorted(enumerate(shifts, start=1), key=lambda kj: -kj[1]):
+            q.push(make_frame(k=k, gamma=0.5, ddl_ms=float(ddl - j),
+                              bound_ms=ddl - j - 20.0, arrival_us=arrival_us + j * MS))
+        revise_bounds(q.frames, v)
+        q.resort(now_us)
+        assert [f.meta.id.k for f in q.frames] == list(range(1, len(shifts) + 1))
+
+    def test_arrivals_wait_at_the_tail_until_the_next_resort(self):
+        q = FrameQueue(beta=0.01)
+        low = make_frame(k=1, gamma=0.1, bound_ms=1000.0)
+        mid = make_frame(k=2, gamma=0.5, bound_ms=1000.0)
+        q.push(low)
+        q.push(mid)
+        q.resort(0)
+        assert q.frames == [mid, low]
+        top = make_frame(k=3, gamma=0.9, bound_ms=1000.0)
+        high = make_frame(k=4, gamma=0.7, bound_ms=1000.0)
+        q.push(top)
+        q.push(high)
+        assert q.frames == [mid, low, top, high]
+        q.resort(TICK_US)
+        assert q.frames == [top, high, mid, low]
