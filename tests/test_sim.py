@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -140,3 +143,55 @@ class TestGoldenMetrics:
         result = run(cfg)
         golden = (GOLDEN / "metrics_b25_proposed_seed42.csv").read_text()
         assert result.metrics_csv() == golden
+
+
+# SHA-256 of summary_csv() + metrics_csv() for every policy on a small,
+# congested config (4 flows offering about 13 Mbps on 10 Mbps), so each
+# policy's tick and kick has a byte-level guard of its own.
+POLICY_DIGESTS = {
+    ("edf", "stable", False): "dfbee4e028ce25f5f8c8f4efc8e9237cf4686c35083425f87fad82f4202bc487",
+    ("edf", "stable", True): "92ff37cb65a364f0adad2f223aa91a45962fce2c23c341fa762618c4ae58af91",
+    ("edf", "unstable", True): "5e7af2ba394c71f5dd328430189a0c456acbc41cad0f28cec48d0fb59016141a",
+    ("no-order", "stable", True): "8dc0863244850ffd1d568ade25a9048fb519550f3a3bde4f9db0b4439c6740c1",
+    ("no-order", "unstable", True): "700804adca06e1e9a525ffedd0867b2128161352977ed6f86ecf167d19989c56",
+    ("proposed", "stable", True): "b321b5cb6f7d446e0889d07606329ecbc713716f9ed49b3e944cf8ffd82d9f2f",
+    ("proposed", "unstable", True): "4cb272b1d71b94ab56ae69fa5a7cb766ed3a3064283f60bd027009a59a71fe85",
+    ("rr", "stable", False): "9a40d184ec8628983d33186a202c02d75074c74918fe590001ed851f2ebe8c65",
+    ("rr", "stable", True): "bcba543a239a67ab71db1b36da943f2f261fbc7a81b16bb6fa82c3ccd57f2560",
+    ("rr", "unstable", True): "016daffc3a8dc7ee37bdab0397b74b529d2354851ebcaf9d0998de5601228ea0",
+    ("single-ts-1000", "stable", True): "6be051c8245db29a58cf0b89fbc0145dc4b2b39ccc77a249cf500d5532c79d15",
+    ("single-ts-1000", "unstable", True): "d093ef1a171c7469d3e9188bea55c33db4fb24ec2df439bdf46a6ad17da1d731",
+    ("single-ts-50", "stable", True): "24521129d30455897cdaa9a9bd83e52746c77e870a37022322c8976bf115242f",
+    ("single-ts-50", "unstable", True): "d715bf8f8dcf26c066aa20b8fbcc5f7dc8f23c4d106db06f0dcf91f834521178",
+    ("single-ts-500", "stable", True): "9746d6733b81041b4ea7c03c2c121c74435ea787e207b7446f971f186b05791e",
+    ("single-ts-500", "unstable", True): "c9014a5d77301138cf95c17e8d387ef8d654f639eb6f4cd707ea4db873013260",
+}
+
+
+class TestPolicyDigests:
+    @pytest.mark.parametrize("policy,regime,proactive_drop", sorted(POLICY_DIGESTS))
+    def test_outputs_match_pinned_digest(self, policy, regime, proactive_drop):
+        cfg = SimConfig(n_flows=4, video_s=6.0, bottleneck_mbps=10.0, policy=policy,
+                        regime=regime, proactive_drop=proactive_drop)
+        result = run(cfg)
+        digest = hashlib.sha256(
+            (result.summary_csv() + result.metrics_csv()).encode()
+        ).hexdigest()
+        assert digest == POLICY_DIGESTS[(policy, regime, proactive_drop)]
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("policy", ["proposed", "rr", "edf", "single-ts-50"])
+    def test_finished_simulation_is_freed_without_cyclic_gc(self, policy):
+        # A reference cycle through the instance (say, a bound method stored
+        # on it) would keep every finished run's frames alive until the
+        # cyclic collector runs.
+        sim = Simulation(small_config(policy=policy, video_s=2.0))
+        sim.run()
+        ref = weakref.ref(sim)
+        gc.disable()
+        try:
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
