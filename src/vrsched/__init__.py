@@ -22,7 +22,7 @@ from .delay import EwmaStat, FlowDelayState, queuing_delay_bound, revise_bounds
 from .forwarder import DwrrForwarder
 from .frame_queue import FrameQueue, QueuedFrame, quality_loss, split_sets, tolerable_time
 from .scheduling import FlowStInput, StDecision, classify, compensate, schedule_st, utility
-from .sim import ClientModel, LinkModel, RunResult, Simulation, inject_delay, run
+from .sim import LinkModel, RunResult, Simulation, inject_delay, run
 from .traffic import TraceParams, generate_trace, viewing_probability_walk
 from .video import (
     FlowTrace,

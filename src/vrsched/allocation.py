@@ -43,6 +43,7 @@ class ArrivalServiceStats:
         return (
             self.inter_arrival.initialized
             and self.service.initialized
+            and self.frame_size.initialized
             and self.inter_arrival.mean > 0
             and self.service.mean > 0
         )
@@ -197,7 +198,6 @@ class FlowLtInput:
 
     frames: Sequence[tuple[float, float]]   # (importance, bound_s) of departing set
     stats: Optional[ArrivalServiceStats]
-    s_ave_bytes: Optional[float]            # mean frame size in the departing set
     prev_rate_bps: float
     prev_delay_s: Optional[float] = None
     prev_s_ave_bytes: Optional[float] = None
@@ -233,7 +233,7 @@ def allocate_lt(
     """
     decision = LtDecision(rate_bps={}, target_delay_s={}, s_ave_bytes={})
     for flow, inp in inputs.items():
-        if not inp.frames or inp.stats is None or not inp.stats.ready or not inp.s_ave_bytes:
+        if not inp.frames or inp.stats is None or not inp.stats.ready:
             decision.rate_bps[flow] = inp.prev_rate_bps
             decision.target_delay_s[flow] = inp.prev_delay_s
             decision.s_ave_bytes[flow] = inp.prev_s_ave_bytes
@@ -243,10 +243,10 @@ def allocate_lt(
             decision.infeasible.add(flow)
         stats = inp.stats
         decision.rate_bps[flow] = rate_for_target_delay(
-            d, stats.mu_a, stats.c_a, stats.c_s, inp.s_ave_bytes, cap_bps=link_bps
+            d, stats.mu_a, stats.c_a, stats.c_s, stats.s_ave, cap_bps=link_bps
         )
         decision.target_delay_s[flow] = d
-        decision.s_ave_bytes[flow] = inp.s_ave_bytes
+        decision.s_ave_bytes[flow] = stats.s_ave
 
     total = decision.total()
     if total > link_bps and total > 0.0:

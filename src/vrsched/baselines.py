@@ -39,10 +39,6 @@ class SchedulerPolicy:
     interval_s: Optional[float] = None
 
     @property
-    def uses_lt(self) -> bool:
-        return self.kind in (PROPOSED, NO_ORDER, SINGLE_TS)
-
-    @property
     def uses_st(self) -> bool:
         """Whether the short-timescale phases (revision + Alg. grants) run."""
         return self.kind in (PROPOSED, NO_ORDER)

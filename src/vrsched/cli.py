@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .baselines import POLICY_TAGS
 from .config import ConfigError, SimConfig, apply_overrides, load_config
-from .metrics import write_text
+from .metrics import csv_text, write_text
 from .sim import run as run_sim
 from .traffic import generate_trace
 from .video import write_trace
@@ -148,25 +148,10 @@ def cmd_sweep(args) -> int:
     results = sweep_grid(cfg, bandwidths, policies, seeds, workers)
     out = Path(args.out)
 
-    lines = [SWEEP_HEADER]
-    for r in results:
-        lines.append(
-            f"{r['bottleneck_mbps']!r},{r['policy']},{r['seed']},"
-            f"{r['total_quality_loss']!r},{r['per_flow_loss_std']!r},"
-            f"{r['avg_drop_rate']!r},{r['bneck_drop_rate']!r},"
-            f"{r['frames_dropped']},{r['frames_late']},{r['frames_fwd']}"
-        )
-    write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-
-    agg_lines = [AGGREGATE_HEADER]
-    for a in aggregate(results):
-        agg_lines.append(
-            f"{a['bottleneck_mbps']!r},{a['policy']},{a['n_seeds']},"
-            f"{a['mean_total_quality_loss']!r},{a['std_total_quality_loss']!r},"
-            f"{a['mean_per_flow_loss_std']!r},{a['mean_avg_drop_rate']!r},"
-            f"{a['std_avg_drop_rate']!r},{a['mean_bneck_drop_rate']!r}"
-        )
-    write_text(out / "aggregate.csv", "\n".join(agg_lines) + "\n")
+    for name, header, records in (("sweep.csv", SWEEP_HEADER, results),
+                                  ("aggregate.csv", AGGREGATE_HEADER, aggregate(results))):
+        cols = header.split(",")
+        write_text(out / name, csv_text(header, ([r[k] for k in cols] for r in records)))
 
     violations = sum(r.get("budget_violations", 0) for r in results)
     print(f"{len(results)} runs -> {out / 'sweep.csv'}")
@@ -178,6 +163,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_gen_trace(args) -> int:
     cfg = _load(args)
+    cfg.validate()
+    if not 0 <= args.flow < cfg.n_flows:
+        raise ConfigError(f"flow: {args.flow} is not one of the {cfg.n_flows} flows")
     params = cfg.trace_params(args.flow)
     trace = generate_trace(params, cfg.seed)
     write_trace(trace, args.out)

@@ -9,15 +9,40 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+from .baselines import parse_policy
 from .traffic import TraceParams
 
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
+
+
+# accepted value types per field annotation; bool is never a number here
+_FIELD_TYPES = {
+    "float": (int, float),
+    "int": int,
+    "bool": bool,
+    "str": str,
+    "tuple[str, ...]": tuple,
+}
+
+
+def _check_type(field: dataclasses.Field, value: Any) -> None:
+    want = _FIELD_TYPES[field.type]
+    if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+        raise ConfigError(f"{field.name}: expected {field.type}, got {value!r}")
+    if field.type == "float":
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:   # an int too large for a float
+            finite = False
+        if not finite:
+            raise ConfigError(f"{field.name}: must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +117,8 @@ class SimConfig:
         )
 
     def validate(self) -> None:
+        for f in fields(self):
+            _check_type(f, getattr(self, f.name))
         if self.bottleneck_mbps <= 0:
             raise ConfigError("bottleneck_mbps: must be positive")
         if self.n_flows < 0:
@@ -116,6 +143,10 @@ class SimConfig:
             raise ConfigError("d_min_ms: must be positive")
         if self.beta < 0:
             raise ConfigError("beta: must be nonnegative")
+        try:
+            parse_policy(self.policy)
+        except ValueError as exc:
+            raise ConfigError(f"policy: {exc}") from exc
         if self.trace_files and len(self.trace_files) != self.n_flows:
             raise ConfigError(
                 f"trace_files: got {len(self.trace_files)} paths for {self.n_flows} flows"

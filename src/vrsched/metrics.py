@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, Iterable, Optional, Sequence
 
 
 @dataclass
@@ -48,10 +48,23 @@ SUMMARY_HEADER = (
 )
 
 
-def _fmt(x: Optional[float]) -> str:
+def _cell(x: Any) -> str:
     if x is None:
         return ""
-    return repr(float(x))
+    if isinstance(x, float):
+        return repr(float(x))
+    return str(x)
+
+
+def csv_text(header: str, rows: Iterable[Sequence[Any]]) -> str:
+    """The header line, then one line per row.
+
+    A float cell is written as its ``repr``, so it reads back exactly;
+    ``None`` is an empty cell; anything else is its ``str``.
+    """
+    lines = [header]
+    lines += [",".join(_cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class MetricsCollector:
@@ -107,15 +120,12 @@ class MetricsCollector:
         return out
 
     def metrics_csv(self) -> str:
-        lines = [METRICS_HEADER]
-        for n, f, c in self.rows():
-            lines.append(
-                f"{n},{f},{_fmt(c.quality_loss)},{_fmt(c.dropped_gamma)},"
-                f"{_fmt(c.total_gamma)},{c.frames_dropped},{c.frames_fwd},"
-                f"{c.frames_late},{c.bytes_fwd},{c.c2_infeasible},"
-                f"{_fmt(c.rtt_mean_ms)},{_fmt(c.q_mean_ms)},{_fmt(c.net_state_ms)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(METRICS_HEADER, (
+            (n, f, c.quality_loss, c.dropped_gamma, c.total_gamma, c.frames_dropped,
+             c.frames_fwd, c.frames_late, c.bytes_fwd, c.c2_infeasible,
+             c.rtt_mean_ms, c.q_mean_ms, c.net_state_ms)
+            for n, f, c in self.rows()
+        ))
 
     def summary(self, policy: str, seed: int, bottleneck_mbps: float,
                 regime: str, epsilon: float) -> dict:
@@ -164,11 +174,7 @@ class MetricsCollector:
 
 
 def summary_csv(summary: dict) -> str:
-    row = ",".join(
-        _fmt(summary[k]) if isinstance(summary[k], float) else str(summary[k])
-        for k in SUMMARY_HEADER.split(",")
-    )
-    return SUMMARY_HEADER + "\n" + row + "\n"
+    return csv_text(SUMMARY_HEADER, [[summary[k] for k in SUMMARY_HEADER.split(",")]])
 
 
 def write_text(path: str | Path, text: str) -> None:

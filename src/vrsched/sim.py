@@ -29,7 +29,7 @@ from .config import SimConfig
 from .delay import FlowDelayState, revise_bounds
 from .forwarder import DropAction, DwrrForwarder
 from .frame_queue import FrameQueue, QueuedFrame, tolerable_time
-from .metrics import MetricsCollector, summary_csv, write_text
+from .metrics import MetricsCollector, csv_text, summary_csv, write_text
 from .scheduling import FlowStInput, schedule_st
 from .traffic import generate_trace
 from .video import FlowTrace, FrameMeta, read_trace
@@ -43,19 +43,16 @@ EV_LINKFREE = 1   # a partial slice finished serializing; resume service
 EV_SEND = 2
 EV_ARRIVAL = 3
 EV_ACK = 4
-EV_REQUEST = 5
-EV_PLAYBACK = 6
-EV_LTI = 7
-EV_STI = 8
+EV_LTI = 5
+EV_STI = 6
 
 _JITTER_STREAM = 2
 
 
 class Event(NamedTuple):
     time_us: int
-    prio: int
-    seq: int
     kind: int
+    seq: int
     flow: int
     data: Any
 
@@ -81,23 +78,12 @@ def inject_delay(t_send_us: int, link: LinkModel, rng: np.random.Generator) -> i
 
 
 @dataclass
-class ClientModel:
-    """Playback position and request bookkeeping for one flow's client."""
-
-    request_lead: int = 2
-    playback_chunk: int = 0
-    last_requested: int = 0
-    received: int = 0
-
-
-@dataclass
 class _FlowRuntime:
     flow: int
     trace: FlowTrace
     queue: FrameQueue
     tracker: FlowDelayState
     stats: ArrivalServiceStats
-    client: ClientModel
     jitter_rng: np.random.Generator
     next_send: int = 0
     send_seq: dict = field(default_factory=dict)     # FrameId -> send index
@@ -137,16 +123,13 @@ class RunResult:
         write_text(out / "metrics.csv", self.metrics_csv())
         write_text(out / "summary.csv", self.summary_csv())
         if decisions:
-            lt = ["n,flow,d_f_ms,b_hat_bps"]
-            lt += [",".join(str(x) for x in row) for row in self.lt_log]
-            write_text(out / "lt_decisions.csv", "\n".join(lt) + "\n")
-            st = ["n,t,flow,b_st_bps,phase1_bps,dU_last"]
-            st += [",".join(str(x) for x in row) for row in self.st_log]
-            write_text(out / "st_decisions.csv", "\n".join(st) + "\n")
+            write_text(out / "lt_decisions.csv",
+                       csv_text("n,flow,d_f_ms,b_hat_bps", self.lt_log))
+            write_text(out / "st_decisions.csv",
+                       csv_text("n,t,flow,b_st_bps,phase1_bps,dU_last", self.st_log))
         if events:
-            ev = ["time_us,flow,c,m,k,event,q_delay_ms"]
-            ev += [",".join(str(x) for x in row) for row in self.event_log]
-            write_text(out / "events.csv", "\n".join(ev) + "\n")
+            write_text(out / "events.csv",
+                       csv_text("time_us,flow,c,m,k,event,q_delay_ms", self.event_log))
 
 
 class Simulation:
@@ -169,14 +152,25 @@ class Simulation:
             jitter_mean_ms=config.jitter_mean_ms,
         )
 
+        # The policy picks its tick and its kick here, once. They are kept as
+        # plain functions and called as fn(self, now_us): a bound method
+        # stored on the instance would be a reference cycle, which keeps a
+        # finished run's frames alive until the cyclic collector runs.
+        cls = type(self)
+        kind = self.policy.kind
+        self.tick_s = config.sti_s
+        if kind == EDF:
+            self._tick, self._kick = cls._edf_tick, cls._edf_kick
+        elif kind == RR:
+            self._tick, self._kick = cls._rr_tick, cls._dwrr_kick
+        elif kind == SINGLE_TS:
+            self._tick, self._kick = cls._single_ts_tick, cls._dwrr_kick
+            self.tick_s = self.policy.interval_s
+        else:  # proposed / no-order
+            self._tick, self._kick = cls._st_phase, cls._dwrr_kick
+
         self.delta_us = int(round(config.delta_s * US_PER_S))
-        tick_s = (
-            self.policy.interval_s
-            if self.policy.kind == SINGLE_TS
-            else config.sti_s
-        )
-        self.tick_s = tick_s
-        self.tick_us = int(round(tick_s * US_PER_S))
+        self.tick_us = int(round(self.tick_s * US_PER_S))
         self.d_min_s = config.d_min_ms / 1000.0
 
         self.flows: dict[int, _FlowRuntime] = {}
@@ -197,7 +191,6 @@ class Simulation:
                     prior_external_ms=config.prior_external_ms,
                 ),
                 stats=ArrivalServiceStats(alpha=config.ewma_alpha),
-                client=ClientModel(request_lead=config.request_lead_chunks),
                 jitter_rng=np.random.default_rng(
                     np.random.SeedSequence(config.seed, spawn_key=(f, _JITTER_STREAM))
                 ),
@@ -229,14 +222,6 @@ class Simulation:
         for f, rt in self.flows.items():
             if rt.trace.frames:
                 self._push(self._frame_send_us(rt, 0), EV_SEND, f, 0)
-            n_chunks = rt.trace.n_chunks
-            chunk_us = int(round(config.chunk_s * US_PER_S))
-            lead = config.request_lead_chunks
-            # one request per chunk duration; later requests chain off playback
-            for c in range(1, min(lead, n_chunks) + 1):
-                self._push((c - 1) * chunk_us, EV_REQUEST, f, c)
-            for c in range(1, n_chunks + 1):
-                self._push((c - 1 + lead) * chunk_us, EV_PLAYBACK, f, c)
         if self.flows:
             self._push(0, EV_STI, -1, None)
             self._push(self.delta_us, EV_LTI, -1, None)
@@ -245,7 +230,7 @@ class Simulation:
 
     def _push(self, time_us: int, kind: int, flow: int, data: Any) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, Event(time_us, kind, self._seq, kind, flow, data))
+        heapq.heappush(self._heap, Event(time_us, kind, self._seq, flow, data))
 
     def _frame_send_us(self, rt: _FlowRuntime, idx: int) -> int:
         return int(round(rt.trace.frames[idx].send_time_ms * US_PER_MS))
@@ -283,7 +268,7 @@ class Simulation:
         self.collector.on_dropped(n, flow, frame_meta.gamma)
         if self.log_events:
             fid = frame_meta.id
-            self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "drop", ""))
+            self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "drop", None))
 
     def _sweep_queue(self, now_us: int, flow: int) -> None:
         if not self.config.proactive_drop:
@@ -338,12 +323,10 @@ class Simulation:
             rt.tracker.apply_mark(float(opt.rtt_ms), ref)
         rt.tracker.record_arrival(meta.id, opt.chunk, float(opt.deadline_ms))
 
-        if self.policy.uses_lt:
-            if rt.last_arrival_us is not None:
-                gap_s = (now_us - rt.last_arrival_us) / US_PER_S
-                rt.stats.inter_arrival.update(gap_s)
-            rt.last_arrival_us = now_us
-            rt.stats.frame_size.update(meta.size)
+        if rt.last_arrival_us is not None:
+            rt.stats.inter_arrival.update((now_us - rt.last_arrival_us) / US_PER_S)
+        rt.last_arrival_us = now_us
+        rt.stats.frame_size.update(meta.size)
 
         bound_ms = rt.tracker.bound_for(float(opt.deadline_ms))
         if bound_ms < 0 and self.config.proactive_drop:
@@ -359,10 +342,7 @@ class Simulation:
             )
         )
         # keep the link busy when credit is already available
-        if self.policy.kind == EDF:
-            self._edf_kick(now_us)
-        else:
-            self._dwrr_kick(now_us)
+        self._kick(self, now_us)
 
     def _on_departure(self, now_us: int, flow: int, frame: QueuedFrame) -> None:
         rt = self.flows[flow]
@@ -371,7 +351,7 @@ class Simulation:
         q_ms = (now_us - frame.t_arrival_us) / US_PER_MS
         rt.tracker.record_departure(frame.meta.id, q_ms)
 
-        if self.policy.uses_lt and rt.current_rate_bps > 0:
+        if rt.current_rate_bps > 0:
             rt.stats.service.update(frame.meta.size * 8.0 / rt.current_rate_bps)
 
         receipt_ms = now_us / US_PER_MS + self.link.propagation_ms
@@ -381,23 +361,15 @@ class Simulation:
         self.collector.on_forwarded(n, flow, frame.meta.gamma, frame.meta.size, late)
         if self.log_events:
             fid = frame.meta.id
-            self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "fwd", repr(q_ms)))
+            self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "fwd", q_ms))
 
-        # client feedback: receipt, then an ack carrying the RTT reference
-        rt.client.received += 1
+        # the client acks each receipt; the ack carries the RTT reference
         ack_us = now_us + int(round((self.link.propagation_ms + self.link.ack_delay_ms) * US_PER_MS))
         self._push(ack_us, EV_ACK, flow, frame.meta.id)
-
-        if self.policy.kind == EDF:
-            self._edf_kick(now_us)
-        else:
-            self._dwrr_kick(now_us)
+        self._kick(self, now_us)
 
     def _on_linkfree(self, now_us: int, flow: int, _data) -> None:
-        if self.policy.kind == EDF:
-            self._edf_kick(now_us)
-        else:
-            self._dwrr_kick(now_us)
+        self._kick(self, now_us)
 
     def _on_ack(self, now_us: int, flow: int, frame_id) -> None:
         rt = self.flows[flow]
@@ -407,21 +379,6 @@ class Simulation:
         # frames are sent in trace order, so the send index recovers the frame
         rtt_ms = now_us / US_PER_MS - rt.trace.frames[seq].send_time_ms
         rt.latest_mark = (rtt_ms, frame_id, seq)
-
-    def _on_request(self, now_us: int, flow: int, chunk: int) -> None:
-        client = self.flows[flow].client
-        if chunk <= client.playback_chunk:
-            raise AssertionError(
-                f"flow {flow} requested chunk {chunk} at playback {client.playback_chunk}"
-            )
-        client.last_requested = max(client.last_requested, chunk)
-
-    def _on_playback(self, now_us: int, flow: int, chunk: int) -> None:
-        rt = self.flows[flow]
-        rt.client.playback_chunk = chunk
-        nxt = chunk + rt.client.request_lead
-        if nxt <= rt.trace.n_chunks:
-            self._push(now_us, EV_REQUEST, flow, nxt)
 
     # -- scheduler ticks --------------------------------------------------
 
@@ -441,11 +398,9 @@ class Simulation:
         for f, rt in self.flows.items():
             departing = rt.queue.departing_set(delta_alloc_s * 1000.0, now_us)
             pairs = [(fr.gamma, fr.bound_ms / 1000.0) for fr in departing]
-            s_ave = rt.stats.s_ave if rt.stats.frame_size.initialized else None
             inputs[f] = FlowLtInput(
                 frames=pairs,
                 stats=rt.stats,
-                s_ave_bytes=s_ave,
                 prev_rate_bps=self.lt_decision.rate_bps[f],
                 prev_delay_s=self.lt_decision.target_delay_s[f],
                 prev_s_ave_bytes=self.lt_decision.s_ave_bytes[f],
@@ -458,56 +413,56 @@ class Simulation:
         for f in self.flows:
             d = self.lt_decision.target_delay_s[f]
             self.lt_log.append(
-                (governed_interval, f,
-                 repr(d * 1000.0) if d is not None else "",
-                 repr(self.lt_decision.rate_bps[f]))
+                (governed_interval, f, d * 1000.0 if d is not None else None,
+                 self.lt_decision.rate_bps[f])
             )
 
-    def _on_lti(self, now_us: int) -> None:
+    def _on_lti(self, now_us: int, _flow, _data) -> None:
         n = now_us // self.delta_us
         self._tracker_debug(n)
-        if self.policy.uses_lt and self.policy.kind != SINGLE_TS:
+        if self.policy.uses_st:
             self._run_lt_allocation(now_us, self.config.delta_s, n + 1)
         if self._work_remaining(now_us):
             self._push(now_us + self.delta_us, EV_LTI, -1, None)
 
-    def _on_sti(self, now_us: int) -> None:
-        kind = self.policy.kind
-        if kind == EDF:
-            for f in self.flows:
-                self._sweep_queue(now_us, f)
-            self._edf_kick(now_us)
-        elif kind == RR:
-            for f in self.flows:
-                self._sweep_queue(now_us, f)
-            active = [f for f, rt in self.flows.items() if len(rt.queue)]
-            rates = rr_allocate(active, self.link.rate_bps)
-            self._assert_budget(sum(rates.values()))
-            for f, rate in rates.items():
-                self.flows[f].current_rate_bps = rate
-                self.forwarder.replenish(f, rate, self.tick_s)
-            self._dwrr_kick(now_us)
-        elif kind == SINGLE_TS:
-            self._run_lt_allocation(
-                now_us, self.policy.interval_s,
-                self._interval_of(now_us + 1),
-            )
-            share = (
-                max(0.0, self.link.rate_bps - self.lt_decision.total()) / len(self.flows)
-                if self.flows else 0.0
-            )
-            self._assert_budget(self.lt_decision.total() + share * len(self.flows))
-            for f, rt in self.flows.items():
-                rate = self.lt_decision.rate_bps[f] + share
-                rt.current_rate_bps = rate
-                self.forwarder.replenish(f, rate, self.tick_s)
-                rt.queue.resort(now_us)
-                self._sweep_queue(now_us, f)
-            self._dwrr_kick(now_us)
-        else:  # proposed / no-order
-            self._st_phase(now_us)
+    def _on_sti(self, now_us: int, _flow, _data) -> None:
+        self._tick(self, now_us)
         if self._work_remaining(now_us):
             self._push(now_us + self.tick_us, EV_STI, -1, None)
+
+    def _edf_tick(self, now_us: int) -> None:
+        for f in self.flows:
+            self._sweep_queue(now_us, f)
+        self._edf_kick(now_us)
+
+    def _rr_tick(self, now_us: int) -> None:
+        for f in self.flows:
+            self._sweep_queue(now_us, f)
+        active = [f for f, rt in self.flows.items() if len(rt.queue)]
+        rates = rr_allocate(active, self.link.rate_bps)
+        self._assert_budget(sum(rates.values()))
+        for f, rate in rates.items():
+            self.flows[f].current_rate_bps = rate
+            self.forwarder.replenish(f, rate, self.tick_s)
+        self._dwrr_kick(now_us)
+
+    def _single_ts_tick(self, now_us: int) -> None:
+        self._run_lt_allocation(
+            now_us, self.policy.interval_s,
+            self._interval_of(now_us + 1),
+        )
+        share = (
+            max(0.0, self.link.rate_bps - self.lt_decision.total()) / len(self.flows)
+            if self.flows else 0.0
+        )
+        self._assert_budget(self.lt_decision.total() + share * len(self.flows))
+        for f, rt in self.flows.items():
+            rate = self.lt_decision.rate_bps[f] + share
+            rt.current_rate_bps = rate
+            self.forwarder.replenish(f, rate, self.tick_s)
+            rt.queue.resort(now_us)
+            self._sweep_queue(now_us, f)
+        self._dwrr_kick(now_us)
 
     def _st_phase(self, now_us: int) -> None:
         self.st_invocations += 1
@@ -545,9 +500,8 @@ class Simulation:
             rt.v_prev_ms = rt.tracker.net_state_ms
             if st.rate_bps[f] or st.last_gain.get(f):
                 self.st_log.append(
-                    (n, t_idx, f, repr(st.rate_bps[f]),
-                     repr(st.phase1_bps.get(f, 0.0)),
-                     repr(st.last_gain.get(f, 0.0)))
+                    (n, t_idx, f, st.rate_bps[f], st.phase1_bps.get(f, 0.0),
+                     st.last_gain.get(f, 0.0))
                 )
             self._sweep_queue(now_us, f)
         self._dwrr_kick(now_us)
@@ -603,20 +557,15 @@ class Simulation:
             EV_SEND: self._on_send,
             EV_ARRIVAL: self._on_arrival,
             EV_ACK: self._on_ack,
-            EV_REQUEST: self._on_request,
-            EV_PLAYBACK: self._on_playback,
+            EV_LTI: self._on_lti,
+            EV_STI: self._on_sti,
         }
         while self._heap:
             ev = heapq.heappop(self._heap)
             if ev.time_us < self._last_time:
                 raise AssertionError("event time went backwards")
             self._last_time = ev.time_us
-            if ev.kind == EV_LTI:
-                self._on_lti(ev.time_us)
-            elif ev.kind == EV_STI:
-                self._on_sti(ev.time_us)
-            else:
-                handlers[ev.kind](ev.time_us, ev.flow, ev.data)
+            handlers[ev.kind](ev.time_us, ev.flow, ev.data)
             if self.check_invariants:
                 self._check_conservation()
 

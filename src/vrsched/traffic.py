@@ -84,9 +84,12 @@ class TraceParams:
 
 
 def gamma_frame_sizes(
-    rng: np.random.Generator, mean_bytes: float, shape: float, n: int
+    rng: np.random.Generator, mean_bytes: float | np.ndarray, shape: float, n: int
 ) -> np.ndarray:
-    """Gamma-distributed frame sizes with the given mean, floored at 1 byte."""
+    """Gamma-distributed frame sizes with the given mean, floored at 1 byte.
+
+    ``mean_bytes`` may be an array of ``n`` per-frame means.
+    """
     draws = rng.gamma(shape, mean_bytes / shape, size=n)
     return np.maximum(1, np.rint(draws)).astype(np.int64)
 
@@ -180,8 +183,7 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
         for g in range(gops):
             tile = tile_order[g]
             p = probs[c - 1][tile]
-            draws = size_rng.gamma(params.gamma_shape, means / params.gamma_shape)
-            sizes = np.maximum(1, np.rint(draws)).astype(np.int64)
+            sizes = gamma_frame_sizes(size_rng, means, params.gamma_shape, params.gop_size)
             for k in range(1, params.gop_size + 1):
                 t_send = t_first + j * frame_gap_ms
                 frames.append(

@@ -135,9 +135,6 @@ class FlowTrace:
     def n_chunks(self) -> int:
         return max((f.id.c for f in self.frames), default=0)
 
-    def total_bytes(self) -> int:
-        return sum(f.size for f in self.frames)
-
 
 TRACE_HEADER = "flow,c,m,k,size_bytes,gamma,ddl_ms,send_time_ms"
 

@@ -67,14 +67,13 @@ class TestPolicyParsing:
             parse_policy(tag)
 
     def test_variant_flags(self):
-        assert parse_policy("proposed").uses_lt
         assert parse_policy("proposed").uses_st
         assert parse_policy("proposed").uses_weight_order
         assert parse_policy("no-order").uses_st
         assert not parse_policy("no-order").uses_weight_order
         single = parse_policy("single-ts-500")
-        assert single.uses_lt and not single.uses_st
+        assert not single.uses_st
         assert single.uses_weight_order
         for tag in ("rr", "edf"):
             p = parse_policy(tag)
-            assert not p.uses_lt and not p.uses_st and not p.uses_weight_order
+            assert not p.uses_st and not p.uses_weight_order

@@ -96,6 +96,23 @@ class TestRunCommand:
                      "--out", str(tmp_path / "out2")]) == 0
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("extra,overrides,field", [
+        ({}, ["bottleneck_mbps=inf"], "bottleneck_mbps"),
+        ({}, ["bottleneck_mbps=nan"], "bottleneck_mbps"),
+        ({}, ["policy=fifo"], "policy"),
+        ({"bottleneck_mbps": "25"}, [], "bottleneck_mbps"),
+        ({"n_flows": 2.5}, [], "n_flows"),
+    ], ids=["inf", "nan", "unknown-policy", "string-for-float", "float-for-int"])
+    def test_exits_2_and_names_the_field(self, tmp_path, capsys, extra, overrides, field):
+        cfg = write_config(tmp_path, **extra)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_grid_rows_and_aggregate(self, tmp_path):
         cfg = write_config(tmp_path)
