@@ -12,7 +12,6 @@ to integer microseconds internally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -131,7 +130,7 @@ class FlowTrace:
     frames: tuple[FrameMeta, ...]
     viewing_prob: Mapping[int, Mapping[int, float]] = field(default_factory=dict)
 
-    @cached_property
+    @property
     def n_chunks(self) -> int:
         return max((f.id.c for f in self.frames), default=0)
 
