@@ -112,6 +112,12 @@ class TestBadInput:
         assert main(argv) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
 
+    def test_gen_trace_rejects_a_flow_outside_the_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["gen-trace", "--config", str(cfg), "--flow", "2",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert "config error: flow:" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_grid_rows_and_aggregate(self, tmp_path):
