@@ -78,47 +78,6 @@ def kingman_delay(rho: float, c_a: float, c_s: float, mu_s: float) -> float:
     return rho / (1.0 - rho) * (c_a * c_a + c_s * c_s) / 2.0 * mu_s
 
 
-_ROUND_TRIP_REL = 1e-10
-_ROUND_TRIP_STEPS = 64
-
-
-def _refine_round_trip(
-    rate: float, d_s: float, mu_a: float, c_a: float, c_s: float, s_ave_bytes: float
-) -> float:
-    """Step ``rate`` by ulps to the float whose model delay is nearest ``d_s``.
-
-    The model delay at a rate is :func:`kingman_delay` at
-    ``mu_s = 8 * s_ave / rate`` and ``rho = mu_s / mu_a``. Near rho = 1 it is
-    ill-conditioned: 1 - rho is about mu_a * (c_a^2 + c_s^2) / (2 * d_s), as
-    small as 1e-7, so each rounding of rho costs about 1e-16 / (1 - rho) of
-    the delay, and the closed form alone can miss ``d_s`` by a few 1e-9. A
-    rate already within ``_ROUND_TRIP_REL`` is returned as is; otherwise the
-    walk moves towards ``d_s`` until the miss changes sign, at most
-    ``_ROUND_TRIP_STEPS`` ulps, and returns the best rate it saw.
-    """
-
-    def miss(r: float) -> float:
-        mu_s = 8.0 * s_ave_bytes / r
-        rho = mu_s / mu_a
-        if not rho < 1.0:
-            return math.inf
-        return kingman_delay(rho, c_a, c_s, mu_s) - d_s
-
-    err = miss(rate)
-    if abs(err) <= _ROUND_TRIP_REL * d_s:
-        return rate
-    toward = math.inf if err > 0.0 else 0.0
-    best, best_err = rate, abs(err)
-    for _ in range(_ROUND_TRIP_STEPS):
-        rate = math.nextafter(rate, toward)
-        step_err = miss(rate)
-        if abs(step_err) < best_err:
-            best, best_err = rate, abs(step_err)
-        if (step_err > 0.0) != (err > 0.0):
-            break
-    return best
-
-
 def rate_for_target_delay(
     d_s: float,
     mu_a: float,
@@ -130,10 +89,11 @@ def rate_for_target_delay(
     """Minimum service rate (bits/s) whose mean queuing delay equals ``d_s``.
 
     Closed-form inversion of :func:`kingman_delay` with the measured arrival
-    process held fixed. Strictly decreasing in ``d_s``; tends to the arrival
-    byte rate ``s_ave / mu_a`` as the target delay grows. Where rounding
-    leaves the model's delay at that rate off ``d_s`` by more than
-    ``_ROUND_TRIP_REL``, the rate is refined by :func:`_refine_round_trip`.
+    process held fixed. Nonincreasing in ``d_s`` (adjacent float delays may
+    share a float rate); tends to the arrival byte rate ``s_ave / mu_a`` as
+    the target delay grows. Near rho = 1 the model delay at the returned
+    rate is ill-conditioned: rounding alone moves it by a few
+    ``eps / (1 - rho)`` relative.
     """
     if d_s <= 0.0:
         raise ValueError(f"target delay must be positive, got {d_s}")
@@ -141,8 +101,6 @@ def rate_for_target_delay(
         raise ValueError(f"mean inter-arrival must be positive, got {mu_a}")
     cc = c_a * c_a + c_s * c_s
     rate = 8.0 * s_ave_bytes * (math.sqrt(1.0 + 2.0 * mu_a * cc / d_s) + 1.0) / (2.0 * mu_a)
-    if cc > 0.0 and 0.0 < rate < math.inf:
-        rate = _refine_round_trip(rate, d_s, mu_a, c_a, c_s, s_ave_bytes)
     if cap_bps is not None:
         rate = min(rate, cap_bps)
     return rate
@@ -183,10 +141,9 @@ def max_target_delay(
         return max(bounds[-1], d_min_s), False
 
     budget = epsilon * total
-    # cum is nondecreasing: bisect for the last candidate with cum <= budget
+    # every importance is >= 0, so cum is nondecreasing: bisect_right finds
+    # the last candidate with cum <= budget
     idx = bisect.bisect_right(cum, budget) - 1
-    while idx >= 0 and cum[idx] > budget:  # guard exact float boundary
-        idx -= 1
     if idx < 0:
         return d_min_s, True
     return max(bounds[idx], d_min_s), False

@@ -133,17 +133,25 @@ def aggregate(results: list[dict]) -> list[dict]:
     return rows
 
 
+def _parse(name: str, raw: str, convert):
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    bandwidths = [float(b) for b in args.bandwidths.split(",") if b]
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    bandwidths = [_parse("bandwidths", b, float) for b in args.bandwidths.split(",") if b]
+    seeds = [_parse("seeds", s, int) for s in args.seeds.split(",") if s]
     if args.preset == "ablation":
         policies = list(ABLATION_POLICIES)
     elif args.preset == "comparison":
         policies = list(COMPARISON_POLICIES)
     else:
         policies = [p for p in args.policies.split(",") if p]
-    workers = args.workers or int(os.environ.get("VRSCHED_WORKERS", "1"))
+    workers = args.workers or _parse("VRSCHED_WORKERS",
+                                     os.environ.get("VRSCHED_WORKERS", "1"), int)
 
     results = sweep_grid(cfg, bandwidths, policies, seeds, workers)
     out = Path(args.out)
@@ -221,9 +229,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

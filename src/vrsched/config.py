@@ -16,6 +16,7 @@ from typing import Any
 
 from .baselines import parse_policy
 from .traffic import TraceParams
+from .video import two_layer_gop
 
 
 class ConfigError(Exception):
@@ -123,6 +124,8 @@ class SimConfig:
             raise ConfigError("bottleneck_mbps: must be positive")
         if self.n_flows < 0:
             raise ConfigError("n_flows: must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed: must be nonnegative")
         if self.regime not in ("stable", "unstable"):
             raise ConfigError(f"regime: unknown value '{self.regime}'")
         if self.jitter_mean_ms < 0:
@@ -147,6 +150,10 @@ class SimConfig:
             parse_policy(self.policy)
         except ValueError as exc:
             raise ConfigError(f"policy: {exc}") from exc
+        try:
+            two_layer_gop(self.gop_size)
+        except ValueError as exc:
+            raise ConfigError(f"gop_size: {exc}") from exc
         if self.trace_files and len(self.trace_files) != self.n_flows:
             raise ConfigError(
                 f"trace_files: got {len(self.trace_files)} paths for {self.n_flows} flows"
@@ -193,15 +200,15 @@ def load_config(path: str | Path) -> SimConfig:
 
 
 def _coerce(field: dataclasses.Field, raw: str) -> Any:
-    if field.type in ("bool", bool):
+    if field.type == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{field.name}: expected a boolean, got '{raw}'")
-    if field.type in ("int", int):
+    if field.type == "int":
         return int(raw)
-    if field.type in ("float", float):
+    if field.type == "float":
         return float(raw)
     if field.name == "trace_files":
         return tuple(s for s in raw.split(";") if s)

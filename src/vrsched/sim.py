@@ -25,7 +25,7 @@ import numpy as np
 from . import wire
 from .allocation import ArrivalServiceStats, FlowLtInput, LtDecision, allocate_lt
 from .baselines import EDF, RR, SINGLE_TS, SchedulerPolicy, edf_next, parse_policy, rr_allocate
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .delay import FlowDelayState, revise_bounds
 from .forwarder import DropAction, DwrrForwarder
 from .frame_queue import FrameQueue, QueuedFrame, tolerable_time
@@ -176,7 +176,10 @@ class Simulation:
         self.flows: dict[int, _FlowRuntime] = {}
         for f in range(config.n_flows):
             if config.trace_files:
-                trace = read_trace(config.trace_files[f], chunk_s=config.chunk_s)
+                try:
+                    trace = read_trace(config.trace_files[f], chunk_s=config.chunk_s)
+                except ValueError as exc:
+                    raise ConfigError(f"trace_files: {exc}") from exc
             else:
                 trace = generate_trace(config.trace_params(f), config.seed)
             self.flows[f] = _FlowRuntime(
@@ -373,10 +376,9 @@ class Simulation:
 
     def _on_ack(self, now_us: int, flow: int, frame_id) -> None:
         rt = self.flows[flow]
-        seq = rt.send_seq.get(frame_id)
-        if seq is None:
-            return
-        # frames are sent in trace order, so the send index recovers the frame
+        # _on_send recorded every frame, and frames are sent in trace order,
+        # so the send index recovers the frame
+        seq = rt.send_seq[frame_id]
         rtt_ms = now_us / US_PER_MS - rt.trace.frames[seq].send_time_ms
         rt.latest_mark = (rtt_ms, frame_id, seq)
 

@@ -163,12 +163,16 @@ def read_trace(path: str | Path, chunk_s: float = 1.0) -> FlowTrace:
         parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"{path}:{ln}: expected 8 fields, got {len(parts)}")
-        fid, c, m, k, size = (int(x) for x in parts[:5])
-        gamma, ddl, send = (float(x) for x in parts[5:])
+        try:
+            fid, c, m, k, size = (int(x) for x in parts[:5])
+            gamma, ddl, send = (float(x) for x in parts[5:])
+            frame = FrameMeta(FrameId(c, m, k), size, gamma, ddl, send)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
         if flow is None:
             flow = fid
         elif fid != flow:
             raise ValueError(f"{path}:{ln}: mixed flow ids {flow} and {fid}")
-        frames.append(FrameMeta(FrameId(c, m, k), size, gamma, ddl, send))
+        frames.append(frame)
     return FlowTrace(flow=flow if flow is not None else 0, chunk_s=chunk_s,
                      frames=tuple(frames))

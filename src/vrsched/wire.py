@@ -27,7 +27,7 @@ frame-index space; within a flow the offset resolves uniquely.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 OPTION_KIND = 0xFE
 OPTION_LEN = 12
@@ -39,8 +39,9 @@ class WireError(ValueError):
     """Malformed option bytes or out-of-range field."""
 
 
-@dataclass(frozen=True)
-class MetadataOption:
+class MetadataOption(NamedTuple):
+    """Decoded option fields; a NamedTuple, since one is built per frame sent."""
+
     vr_flag: bool
     chunk: int
     tile: int

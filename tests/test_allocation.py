@@ -3,7 +3,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import make_stats
 from vrsched.allocation import (
@@ -100,13 +100,15 @@ class TestRateInversion:
         d1=st.floats(0.001, 1.0),
         d2=st.floats(0.001, 1.0),
     )
+    # adjacent delays whose rates round to the same float
+    @example(mu_a=0.03125, c=1.0, d1=0.001, d2=math.nextafter(0.001, 1.0))
     def test_strictly_decreasing_in_delay(self, mu_a, c, d1, d2):
         # A float rate cannot fall between every pair of float delays: over
         # [0.001, 1] there are fewer float rates than delays, so adjacent
         # delays may share a rate. The rate must never rise with the delay,
         # and must fall wherever the exact rates differ by more than 1e-12,
-        # far above the few dozen ulps (about 1e-14) that rounding and the
-        # round-trip refinement can move a rate.
+        # far above the few ulps (about 1e-15) by which rounding in the
+        # closed form can move a rate.
         lo, hi = sorted((d1, d2))
         r_lo = rate_for_target_delay(lo, mu_a, c, c, 50000.0)
         r_hi = rate_for_target_delay(hi, mu_a, c, c, 50000.0)
@@ -123,6 +125,9 @@ class TestRateInversion:
         d=st.floats(0.001, 1.0),
         s_ave=st.floats(100.0, 1e6),
     )
+    # rho within about 2e-7 of 1, where rounding alone misses d by a few 1e-9
+    @example(mu_a=0.001, c_a=0.01, c_s=0.01, d=0.5, s_ave=100.0)
+    @example(mu_a=0.001, c_a=0.01, c_s=0.01, d=0.953, s_ave=100.0)
     def test_inversion_reproduces_target_delay(self, mu_a, c_a, c_s, d, s_ave):
         rate = rate_for_target_delay(d, mu_a, c_a, c_s, s_ave)
         mu_s = 8 * s_ave / rate

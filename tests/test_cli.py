@@ -5,6 +5,7 @@ import pytest
 
 from vrsched.cli import aggregate, main, sweep_grid
 from vrsched.config import SimConfig, apply_overrides, load_config, ConfigError
+from vrsched.video import TRACE_HEADER
 
 TINY = dict(n_flows=2, bitrate_mbps_min=2.0, bitrate_mbps_max=3.0,
             video_s=4.0, bottleneck_mbps=6.0)
@@ -97,18 +98,29 @@ class TestRunCommand:
 
 
 class TestBadInput:
-    @pytest.mark.parametrize("extra,overrides,field", [
-        ({}, ["bottleneck_mbps=inf"], "bottleneck_mbps"),
-        ({}, ["bottleneck_mbps=nan"], "bottleneck_mbps"),
-        ({}, ["policy=fifo"], "policy"),
-        ({"bottleneck_mbps": "25"}, [], "bottleneck_mbps"),
-        ({"n_flows": 2.5}, [], "n_flows"),
-    ], ids=["inf", "nan", "unknown-policy", "string-for-float", "float-for-int"])
-    def test_exits_2_and_names_the_field(self, tmp_path, capsys, extra, overrides, field):
+    @pytest.mark.parametrize("extra,args,env,field", [
+        ({}, ["run", "--override", "bottleneck_mbps=inf"], {}, "bottleneck_mbps"),
+        ({}, ["run", "--override", "bottleneck_mbps=nan"], {}, "bottleneck_mbps"),
+        ({}, ["run", "--override", "policy=fifo"], {}, "policy"),
+        ({"bottleneck_mbps": "25"}, ["run"], {}, "bottleneck_mbps"),
+        ({"n_flows": 2.5}, ["run"], {}, "n_flows"),
+        ({"n_flows": 1, "trace_files": ["bad.csv"]}, ["run"], {}, "trace_files"),
+        ({}, ["sweep", "--bandwidths", "x"], {}, "bandwidths"),
+        ({}, ["sweep", "--seeds", "1,a"], {}, "seeds"),
+        ({}, ["sweep"], {"VRSCHED_WORKERS": "abc"}, "VRSCHED_WORKERS"),
+        ({}, ["run", "--seed", "-1"], {}, "seed"),
+        ({}, ["run", "--override", "gop_size=3"], {}, "gop_size"),
+    ], ids=["inf", "nan", "unknown-policy", "string-for-float", "float-for-int",
+            "malformed-trace-file", "bad-bandwidth", "bad-seed-list", "bad-workers-env",
+            "negative-seed", "odd-gop-size"])
+    def test_exits_2_and_names_the_field(self, tmp_path, capsys, monkeypatch,
+                                         extra, args, env, field):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text(TRACE_HEADER + "\n0,1,1,1,abc,0.5,1000.0,0.0\n")
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         cfg = write_config(tmp_path, **extra)
-        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
-        for item in overrides:
-            argv += ["--override", item]
+        argv = [args[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *args[1:]]
         assert main(argv) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
 

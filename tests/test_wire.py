@@ -62,7 +62,7 @@ def test_decode_rejects_short_buffer():
      ("rtt_ref_offset", 256), ("rtt_ref_offset", -1)],
 )
 def test_encode_rejects_out_of_range_identity(field, value):
-    opt = MetadataOption(**{**SPEC_EXAMPLE.__dict__, field: value})
+    opt = MetadataOption(**{**SPEC_EXAMPLE._asdict(), field: value})
     with pytest.raises(WireError):
         encode(opt)
 
