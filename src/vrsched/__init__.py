@@ -18,11 +18,11 @@ from .allocation import (
 )
 from .baselines import SchedulerPolicy, edf_next, parse_policy, rr_allocate
 from .config import ConfigError, SimConfig, apply_overrides, load_config
-from .delay import EwmaStat, FlowDelayState, queuing_delay_bound, revise_bounds
+from .delay import EwmaStat, FlowDelayState, revise_bounds
 from .forwarder import DwrrForwarder
-from .frame_queue import FrameQueue, QueuedFrame, quality_loss, split_sets, tolerable_time
+from .frame_queue import FrameQueue, QueuedFrame, split_sets, tolerable_time
 from .scheduling import FlowStInput, StDecision, classify, compensate, schedule_st, utility
-from .sim import LinkModel, RunResult, Simulation, inject_delay, run
+from .sim import RunResult, Simulation, inject_delay, run
 from .traffic import TraceParams, generate_trace, viewing_probability_walk
 from .video import (
     FlowTrace,

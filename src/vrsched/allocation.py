@@ -57,10 +57,6 @@ class ArrivalServiceStats:
         return self.inter_arrival.mean
 
     @property
-    def mu_s(self) -> float:
-        return self.service.mean
-
-    @property
     def c_a(self) -> float:
         return self.inter_arrival.std / self.inter_arrival.mean
 
@@ -154,10 +150,7 @@ class FlowLtInput:
     """Per-flow view handed to the allocator at a long-interval boundary."""
 
     frames: Sequence[tuple[float, float]]   # (importance, bound_s) of departing set
-    stats: Optional[ArrivalServiceStats]
-    prev_rate_bps: float
-    prev_delay_s: Optional[float] = None
-    prev_s_ave_bytes: Optional[float] = None
+    stats: ArrivalServiceStats
 
 
 @dataclass
@@ -176,6 +169,7 @@ class LtDecision:
 
 def allocate_lt(
     inputs: Mapping[int, FlowLtInput],
+    prev: LtDecision,
     link_bps: float,
     epsilon: float,
     d_min_s: float = 1e-3,
@@ -183,17 +177,17 @@ def allocate_lt(
     """Run the three-step long-timescale allocation across all flows.
 
     Flows whose departing set is empty or whose arrival statistics are not
-    yet measurable carry their previous decision forward. If the summed
+    yet measurable carry their decision in ``prev`` forward. If the summed
     demands exceed the link rate, all rates are scaled down proportionally
     (with a tiny margin so the total never lands above the link rate in
     floating point).
     """
     decision = LtDecision(rate_bps={}, target_delay_s={}, s_ave_bytes={})
     for flow, inp in inputs.items():
-        if not inp.frames or inp.stats is None or not inp.stats.ready:
-            decision.rate_bps[flow] = inp.prev_rate_bps
-            decision.target_delay_s[flow] = inp.prev_delay_s
-            decision.s_ave_bytes[flow] = inp.prev_s_ave_bytes
+        if not inp.frames or not inp.stats.ready:
+            decision.rate_bps[flow] = prev.rate_bps[flow]
+            decision.target_delay_s[flow] = prev.target_delay_s[flow]
+            decision.s_ave_bytes[flow] = prev.s_ave_bytes[flow]
             continue
         d, infeasible = max_target_delay(inp.frames, epsilon, d_min_s)
         if infeasible:

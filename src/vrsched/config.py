@@ -16,7 +16,7 @@ from typing import Any
 
 from .baselines import parse_policy
 from .traffic import TraceParams
-from .video import two_layer_gop
+from .video import US_PER_S, two_layer_gop
 
 
 class ConfigError(Exception):
@@ -136,6 +136,10 @@ class SimConfig:
             raise ConfigError("bitrate_mbps_min/max: need 0 < min <= max")
         if self.delta_s <= 0 or self.sti_s <= 0:
             raise ConfigError("delta_s/sti_s: must be positive")
+        # the simulator runs on a whole-microsecond clock
+        for name in ("delta_s", "sti_s"):
+            if round(getattr(self, name) * US_PER_S) < 1:
+                raise ConfigError(f"{name}: shorter than 1 us")
         if self.delta_s < self.sti_s:
             raise ConfigError("sti_s: short interval exceeds the long interval")
         if not 0 <= self.epsilon:
@@ -165,7 +169,7 @@ class SimConfig:
             try:
                 self.trace_params(0).validate()
             except ValueError as exc:
-                raise ConfigError(f"workload: {exc}") from exc
+                raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, data: dict[str, Any], source: str = "config") -> "SimConfig":

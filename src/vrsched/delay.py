@@ -47,23 +47,6 @@ class EwmaStat:
         return math.sqrt(self.variance)
 
 
-def queuing_delay_bound(
-    ddl_ms: float,
-    rtt: EwmaStat,
-    queue_delay: EwmaStat,
-    prior_external_ms: float = 20.0,
-) -> float:
-    """Maximum queuing time that still lets the frame make its deadline.
-
-    Before any RTT mark has been matched for the flow, a configured prior
-    external delay stands in so early frames are not dropped spuriously.
-    The result may be negative: the frame is hopeless on arrival.
-    """
-    if rtt.initialized and queue_delay.initialized:
-        return ddl_ms - (rtt.mean - queue_delay.mean)
-    return ddl_ms - prior_external_ms
-
-
 def revise_bounds(frames: Iterable, net_state_ms: float) -> None:
     """Re-derive every queued frame's bound from the latest network state.
 
@@ -152,5 +135,12 @@ class FlowDelayState:
         return True
 
     def bound_for(self, ddl_ms: float) -> float:
-        return queuing_delay_bound(ddl_ms, self.rtt, self.queue_delay,
-                                   self.prior_external_ms)
+        """Maximum queuing time that still lets the frame make its deadline.
+
+        Before any RTT mark has been matched for the flow, the configured
+        prior external delay stands in so early frames are not dropped
+        spuriously. The result may be negative: the frame is hopeless on
+        arrival.
+        """
+        v = self.net_state_ms
+        return ddl_ms - (self.prior_external_ms if v is None else v)

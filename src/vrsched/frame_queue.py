@@ -17,12 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .video import FrameMeta
-
-US_PER_MS = 1000.0
-US_PER_S = 1_000_000.0
+from .video import US_PER_MS, US_PER_S, FrameMeta
 
 
 @dataclass
@@ -34,9 +31,8 @@ class QueuedFrame:
     ddl_ms: float        # deadline as read off the wire
     bound_ms: float      # current queuing-delay bound D
     remaining: int       # unsent bytes
-    weight: float = 0.0  # weight at t = 0 under the queue's ranking bound; set by push
     in_service: bool = False  # partially transmitted; pinned at the head
-    key: tuple = ()      # (-weight, c, m, k): the queue's sort key; set by push
+    key: tuple = ()      # (-weight at t = 0, c, m, k): the queue's sort key; set by push
 
     @property
     def gamma(self) -> float:
@@ -78,19 +74,6 @@ def split_sets(
     return forwarded, dropped, retained
 
 
-def quality_loss(forwarded: Iterable, dropped: Iterable) -> float:
-    """Dropped importance as a fraction of all departing importance.
-
-    Defined as 0 when nothing departed or when every departing frame has
-    zero importance.
-    """
-    lost = sum(f.gamma for f in dropped)
-    total = lost + sum(f.gamma for f in forwarded)
-    if total <= 0.0:
-        return 0.0
-    return lost / total
-
-
 _sort_key = attrgetter("key")
 
 
@@ -127,9 +110,9 @@ class FrameQueue:
         if self.ordered:
             bound_ms = frame.ddl_ms if self.revised else frame.bound_ms
             instant_us = bound_ms * US_PER_MS + frame.t_arrival_us
-            frame.weight = frame.meta.gamma - self.beta * instant_us / US_PER_S
+            weight = frame.meta.gamma - self.beta * instant_us / US_PER_S
             fid = frame.meta.id
-            frame.key = (-frame.weight, fid.c, fid.m, fid.k)
+            frame.key = (-weight, fid.c, fid.m, fid.k)
         self.frames.append(frame)
 
     def head(self) -> Optional[QueuedFrame]:

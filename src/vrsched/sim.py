@@ -32,10 +32,7 @@ from .frame_queue import FrameQueue, QueuedFrame, tolerable_time
 from .metrics import MetricsCollector, csv_text, summary_csv, write_text
 from .scheduling import FlowStInput, schedule_st
 from .traffic import generate_trace
-from .video import FlowTrace, FrameMeta, read_trace
-
-US_PER_S = 1_000_000
-US_PER_MS = 1000
+from .video import US_PER_MS, US_PER_S, FlowTrace, FrameMeta, read_trace
 
 # event kind priorities: lower runs first at equal timestamps
 EV_DEPARTURE = 0
@@ -57,29 +54,16 @@ class Event(NamedTuple):
     data: Any
 
 
-@dataclass(frozen=True)
-class LinkModel:
-    """Bottleneck link plus the fixed path delays around it."""
-
-    rate_bps: float
-    propagation_ms: float = 5.0
-    server_delay_ms: float = 10.0
-    ack_delay_ms: float = 15.0
-    regime: str = "stable"
-    jitter_mean_ms: float = 15.0
-
-
-def inject_delay(t_send_us: int, link: LinkModel, rng: np.random.Generator) -> int:
+def inject_delay(t_send_us: int, config: SimConfig, rng: np.random.Generator) -> int:
     """Bottleneck arrival time for a frame sent at ``t_send_us``."""
-    delay_ms = link.server_delay_ms
-    if link.regime == "unstable" and link.jitter_mean_ms > 0:
-        delay_ms += rng.exponential(link.jitter_mean_ms)
+    delay_ms = config.server_delay_ms
+    if config.regime == "unstable" and config.jitter_mean_ms > 0:
+        delay_ms += rng.exponential(config.jitter_mean_ms)
     return t_send_us + int(round(delay_ms * US_PER_MS))
 
 
 @dataclass
 class _FlowRuntime:
-    flow: int
     trace: FlowTrace
     queue: FrameQueue
     tracker: FlowDelayState
@@ -87,7 +71,7 @@ class _FlowRuntime:
     jitter_rng: np.random.Generator
     next_send: int = 0
     send_seq: dict = field(default_factory=dict)     # FrameId -> send index
-    latest_mark: Optional[tuple[float, Any, int]] = None  # (rtt_ms, ref_id, ref_seq)
+    latest_mark: Optional[tuple[float, int]] = None  # (rtt_ms, ref_seq)
     last_arrival_us: Optional[int] = None
     current_rate_bps: float = 0.0
     v_prev_ms: Optional[float] = None
@@ -143,14 +127,7 @@ class Simulation:
         self.check_invariants = check_invariants
         self.log_events = log_events
 
-        self.link = LinkModel(
-            rate_bps=config.link_bps,
-            propagation_ms=config.propagation_ms,
-            server_delay_ms=config.server_delay_ms,
-            ack_delay_ms=config.ack_delay_ms,
-            regime=config.regime,
-            jitter_mean_ms=config.jitter_mean_ms,
-        )
+        self.link_bps = config.link_bps
 
         # The policy picks its tick and its kick here, once. They are kept as
         # plain functions and called as fn(self, now_us): a bound method
@@ -172,18 +149,18 @@ class Simulation:
         self.delta_us = int(round(config.delta_s * US_PER_S))
         self.tick_us = int(round(self.tick_s * US_PER_S))
         self.d_min_s = config.d_min_ms / 1000.0
+        self.ack_lag_us = int(round((config.propagation_ms + config.ack_delay_ms) * US_PER_MS))
 
         self.flows: dict[int, _FlowRuntime] = {}
         for f in range(config.n_flows):
             if config.trace_files:
                 try:
-                    trace = read_trace(config.trace_files[f], chunk_s=config.chunk_s)
+                    trace = read_trace(config.trace_files[f])
                 except ValueError as exc:
                     raise ConfigError(f"trace_files: {exc}") from exc
             else:
                 trace = generate_trace(config.trace_params(f), config.seed)
             self.flows[f] = _FlowRuntime(
-                flow=f,
                 trace=trace,
                 queue=FrameQueue(
                     beta=config.beta, ordered=self.policy.uses_weight_order,
@@ -250,13 +227,13 @@ class Simulation:
         return False
 
     def _assert_budget(self, total_bps: float) -> None:
-        if total_bps > self.link.rate_bps * (1.0 + 1e-9):
+        if total_bps > self.link_bps * (1.0 + 1e-9):
             self.budget_violations += 1
 
     def _commit_to_link(self, now_us: int, flow: int, frame: QueuedFrame,
                         nbytes: int, completed: bool) -> None:
         start = max(now_us, self.link_busy_until_us)
-        tx_us = int(math.ceil(nbytes * 8 * US_PER_S / self.link.rate_bps))
+        tx_us = int(math.ceil(nbytes * 8 * US_PER_S / self.link_bps))
         self.link_busy_until_us = start + tx_us
         if completed:
             self.flows[flow].in_transit += 1
@@ -289,7 +266,7 @@ class Simulation:
 
         rtt_ms, ref_offset = 0, 0
         if rt.latest_mark is not None:
-            mark_rtt, _ref_id, ref_seq = rt.latest_mark
+            mark_rtt, ref_seq = rt.latest_mark
             offset = seq - ref_seq
             if 1 <= offset <= 255:
                 rtt_ms, ref_offset = mark_rtt, offset
@@ -298,15 +275,15 @@ class Simulation:
             chunk=meta.id.c,
             tile=meta.id.m,
             gop_pos=meta.id.k,
-            deadline_ms=wire.saturate_ms(meta.deadline_ms),
-            rtt_ms=wire.saturate_ms(rtt_ms),
+            deadline_ms=meta.deadline_ms,
+            rtt_ms=rtt_ms,
             rtt_ref_offset=ref_offset,
         )
         packet = wire.encode(opt)
 
         rt.generated += 1
         rt.in_flight += 1
-        arrival = inject_delay(now_us, self.link, rt.jitter_rng)
+        arrival = inject_delay(now_us, self.config, rt.jitter_rng)
         self._push(arrival, EV_ARRIVAL, flow, (meta, packet))
 
         rt.next_send = idx + 1
@@ -357,7 +334,7 @@ class Simulation:
         if rt.current_rate_bps > 0:
             rt.stats.service.update(frame.meta.size * 8.0 / rt.current_rate_bps)
 
-        receipt_ms = now_us / US_PER_MS + self.link.propagation_ms
+        receipt_ms = now_us / US_PER_MS + self.config.propagation_ms
         deadline_abs_ms = frame.meta.send_time_ms + frame.meta.deadline_ms
         late = receipt_ms > deadline_abs_ms + 1e-9
         n = self._interval_of(now_us)
@@ -367,8 +344,7 @@ class Simulation:
             self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "fwd", q_ms))
 
         # the client acks each receipt; the ack carries the RTT reference
-        ack_us = now_us + int(round((self.link.propagation_ms + self.link.ack_delay_ms) * US_PER_MS))
-        self._push(ack_us, EV_ACK, flow, frame.meta.id)
+        self._push(now_us + self.ack_lag_us, EV_ACK, flow, frame.meta.id)
         self._kick(self, now_us)
 
     def _on_linkfree(self, now_us: int, flow: int, _data) -> None:
@@ -380,7 +356,7 @@ class Simulation:
         # so the send index recovers the frame
         seq = rt.send_seq[frame_id]
         rtt_ms = now_us / US_PER_MS - rt.trace.frames[seq].send_time_ms
-        rt.latest_mark = (rtt_ms, frame_id, seq)
+        rt.latest_mark = (rtt_ms, seq)
 
     # -- scheduler ticks --------------------------------------------------
 
@@ -394,21 +370,16 @@ class Simulation:
                 tr.net_state_ms,
             )
 
-    def _run_lt_allocation(self, now_us: int, delta_alloc_s: float,
-                           governed_interval: int) -> None:
+    def _run_lt_allocation(self, now_us: int, delta_alloc_s: float) -> None:
+        """Size the base rates for the interval that starts after ``now_us``."""
+        governed_interval = self._interval_of(now_us + 1)
         inputs: dict[int, FlowLtInput] = {}
         for f, rt in self.flows.items():
             departing = rt.queue.departing_set(delta_alloc_s * 1000.0, now_us)
             pairs = [(fr.gamma, fr.bound_ms / 1000.0) for fr in departing]
-            inputs[f] = FlowLtInput(
-                frames=pairs,
-                stats=rt.stats,
-                prev_rate_bps=self.lt_decision.rate_bps[f],
-                prev_delay_s=self.lt_decision.target_delay_s[f],
-                prev_s_ave_bytes=self.lt_decision.s_ave_bytes[f],
-            )
+            inputs[f] = FlowLtInput(frames=pairs, stats=rt.stats)
         self.lt_decision = allocate_lt(
-            inputs, self.link.rate_bps, self.config.epsilon, self.d_min_s
+            inputs, self.lt_decision, self.link_bps, self.config.epsilon, self.d_min_s
         )
         for f in self.lt_decision.infeasible:
             self.collector.on_infeasible(governed_interval, f)
@@ -420,10 +391,9 @@ class Simulation:
             )
 
     def _on_lti(self, now_us: int, _flow, _data) -> None:
-        n = now_us // self.delta_us
-        self._tracker_debug(n)
+        self._tracker_debug(self._interval_of(now_us))
         if self.policy.uses_st:
-            self._run_lt_allocation(now_us, self.config.delta_s, n + 1)
+            self._run_lt_allocation(now_us, self.config.delta_s)
         if self._work_remaining(now_us):
             self._push(now_us + self.delta_us, EV_LTI, -1, None)
 
@@ -441,7 +411,7 @@ class Simulation:
         for f in self.flows:
             self._sweep_queue(now_us, f)
         active = [f for f, rt in self.flows.items() if len(rt.queue)]
-        rates = rr_allocate(active, self.link.rate_bps)
+        rates = rr_allocate(active, self.link_bps)
         self._assert_budget(sum(rates.values()))
         for f, rate in rates.items():
             self.flows[f].current_rate_bps = rate
@@ -449,12 +419,9 @@ class Simulation:
         self._dwrr_kick(now_us)
 
     def _single_ts_tick(self, now_us: int) -> None:
-        self._run_lt_allocation(
-            now_us, self.policy.interval_s,
-            self._interval_of(now_us + 1),
-        )
+        self._run_lt_allocation(now_us, self.policy.interval_s)
         share = (
-            max(0.0, self.link.rate_bps - self.lt_decision.total()) / len(self.flows)
+            max(0.0, self.link_bps - self.lt_decision.total()) / len(self.flows)
             if self.flows else 0.0
         )
         self._assert_budget(self.lt_decision.total() + share * len(self.flows))
@@ -491,7 +458,7 @@ class Simulation:
                 v_now_ms=rt.tracker.net_state_ms,
                 v_prev_ms=rt.v_prev_ms,
             )
-        st = schedule_st(inputs, self.link.rate_bps, self.config.sti_s, now_us,
+        st = schedule_st(inputs, self.link_bps, self.config.sti_s, now_us,
                          self.d_min_s)
         self._assert_budget(self.lt_decision.total() + st.total())
 

@@ -60,27 +60,32 @@ class TraceParams:
         return self.frames_per_chunk // self.gop_size
 
     def validate(self) -> None:
+        """Raise ValueError, its message led by the offending field names."""
         if self.bitrate_bps <= 0:
-            raise ValueError(f"bitrate must be positive, got {self.bitrate_bps}")
+            raise ValueError(f"bitrate_bps: must be positive, got {self.bitrate_bps}")
+        if self.chunk_s <= 0:
+            raise ValueError(f"chunk_s: must be positive, got {self.chunk_s}")
         if self.n_chunks < 1:
-            raise ValueError("video shorter than one chunk")
+            raise ValueError("video_s/chunk_s: video shorter than one chunk")
         if self.frames_per_chunk < 1:
-            raise ValueError("chunk shorter than one frame interval")
+            raise ValueError("fps/chunk_s: chunk shorter than one frame interval")
         if self.gop_size > self.frames_per_chunk or self.frames_per_chunk % self.gop_size:
             raise ValueError(
-                f"gop size {self.gop_size} does not fit the "
+                f"gop_size/fps/chunk_s: gop size {self.gop_size} does not fit the "
                 f"{self.frames_per_chunk}-frame chunk"
             )
+        if self.tile_rows < 1 or self.tile_cols < 1:
+            raise ValueError("tile_rows/tile_cols: must be positive")
         if self.gops_per_chunk > self.tile_rows * self.tile_cols:
-            raise ValueError("more GoPs per chunk than tiles in the grid")
+            raise ValueError("tile_rows/tile_cols: more GoPs per chunk than tiles in the grid")
         if self.request_lead_chunks < 1:
-            raise ValueError("request lead must be at least one chunk")
+            raise ValueError("request_lead_chunks: must be at least one chunk")
         if not 0.0 < self.walk_decay < 1.0:
-            raise ValueError(f"walk decay {self.walk_decay} outside (0, 1)")
+            raise ValueError(f"walk_decay: {self.walk_decay} outside (0, 1)")
         if self.i_frame_ratio < 1.0:
-            raise ValueError("I-frames cannot be smaller than the others")
+            raise ValueError("i_frame_ratio: I-frames cannot be smaller than the others")
         if self.gamma_shape <= 0:
-            raise ValueError("gamma shape must be positive")
+            raise ValueError("gamma_shape: must be positive")
 
 
 def gamma_frame_sizes(
@@ -199,7 +204,6 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
 
     return FlowTrace(
         flow=params.flow,
-        chunk_s=params.chunk_s,
         frames=tuple(frames),
         viewing_prob={c + 1: probs[c] for c in range(params.n_chunks)},
     )

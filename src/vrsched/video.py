@@ -11,9 +11,13 @@ to integer microseconds internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
+
+US_PER_MS = 1000
+US_PER_S = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -23,9 +27,6 @@ class FrameId:
     c: int
     m: int
     k: int
-
-    def __str__(self) -> str:
-        return f"({self.c},{self.m},{self.k})"
 
 
 @dataclass(frozen=True)
@@ -126,13 +127,8 @@ class FlowTrace:
     """
 
     flow: int
-    chunk_s: float
     frames: tuple[FrameMeta, ...]
     viewing_prob: Mapping[int, Mapping[int, float]] = field(default_factory=dict)
-
-    @property
-    def n_chunks(self) -> int:
-        return max((f.id.c for f in self.frames), default=0)
 
 
 TRACE_HEADER = "flow,c,m,k,size_bytes,gamma,ddl_ms,send_time_ms"
@@ -149,16 +145,19 @@ def write_trace(trace: FlowTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_trace(path: str | Path, chunk_s: float = 1.0) -> FlowTrace:
+def read_trace(path: str | Path) -> FlowTrace:
     """Read a trace file written by :func:`write_trace`.
 
-    Chunk duration is not part of the record format and must be supplied.
+    Frames must be in send order: send times finite, nonnegative and
+    nondecreasing, deadlines finite, and no frame id repeated.
     """
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != TRACE_HEADER:
         raise ValueError(f"{path}: missing trace header '{TRACE_HEADER}'")
     flow: Optional[int] = None
     frames: list[FrameMeta] = []
+    seen: set[FrameId] = set()
+    last_send = 0.0
     for ln, line in enumerate(text[1:], start=2):
         parts = line.split(",")
         if len(parts) != 8:
@@ -173,6 +172,14 @@ def read_trace(path: str | Path, chunk_s: float = 1.0) -> FlowTrace:
             flow = fid
         elif fid != flow:
             raise ValueError(f"{path}:{ln}: mixed flow ids {flow} and {fid}")
+        if not (math.isfinite(ddl) and math.isfinite(send)):
+            raise ValueError(f"{path}:{ln}: ddl_ms and send_time_ms must be finite")
+        if send < last_send:
+            raise ValueError(f"{path}:{ln}: send_time_ms {send!r} < {last_send!r}; "
+                             "send times must be nonnegative and nondecreasing")
+        if frame.id in seen:
+            raise ValueError(f"{path}:{ln}: frame ({c},{m},{k}) repeated")
+        seen.add(frame.id)
+        last_send = send
         frames.append(frame)
-    return FlowTrace(flow=flow if flow is not None else 0, chunk_s=chunk_s,
-                     frames=tuple(frames))
+    return FlowTrace(flow=flow if flow is not None else 0, frames=tuple(frames))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import make_stats
 from vrsched.allocation import (
     FlowLtInput,
+    LtDecision,
     allocate_lt,
     kingman_delay,
     max_target_delay,
@@ -197,15 +198,20 @@ class TestAllocateLt:
     # departing set whose epsilon=0.1 target delay is exactly 0.1 s
     DEFAULT_SET = ((0.01, 0.1), (0.99, 0.2))
 
-    def _input(self, frames=DEFAULT_SET, prev=1e6, **stats_kw):
-        return FlowLtInput(
-            frames=list(frames),
-            stats=make_stats(**stats_kw),
-            prev_rate_bps=prev,
-        )
+    def _input(self, frames=DEFAULT_SET, **stats_kw):
+        return FlowLtInput(frames=list(frames), stats=make_stats(**stats_kw))
+
+    @staticmethod
+    def _prev(*rates_bps, delay_s=None, s_ave_bytes=None):
+        """The previous decision: flow f had rate ``rates_bps[f]``."""
+        flows = range(len(rates_bps))
+        return LtDecision(rate_bps=dict(zip(flows, rates_bps)),
+                          target_delay_s=dict.fromkeys(flows, delay_s),
+                          s_ave_bytes=dict.fromkeys(flows, s_ave_bytes))
 
     def test_single_flow_unscaled(self):
-        decision = allocate_lt({0: self._input()}, link_bps=1e9, epsilon=0.1)
+        decision = allocate_lt({0: self._input()}, self._prev(1e6), link_bps=1e9,
+                               epsilon=0.1)
         expected = rate_for_target_delay(0.1, 0.04, 1.0, 1.0, 50000.0)
         assert decision.rate_bps[0] == pytest.approx(expected)
         assert not decision.scaled
@@ -214,31 +220,30 @@ class TestAllocateLt:
         raw = rate_for_target_delay(0.1, 0.04, 1.0, 1.0, 50000.0)
         link = 1.2 * raw  # two flows want 2*raw > link
         decision = allocate_lt({0: self._input(), 1: self._input()},
-                               link_bps=link, epsilon=0.1)
+                               self._prev(1e6, 1e6), link_bps=link, epsilon=0.1)
         assert decision.scaled
         assert decision.rate_bps[0] == pytest.approx(decision.rate_bps[1])
         assert decision.total() <= link
         assert decision.total() == pytest.approx(link, rel=1e-9)
 
     def test_empty_departing_set_carries_forward(self):
-        inp = FlowLtInput(frames=[], stats=make_stats(),
-                          prev_rate_bps=3.21e6, prev_delay_s=0.25,
-                          prev_s_ave_bytes=40000.0)
-        decision = allocate_lt({0: inp}, link_bps=1e9, epsilon=0.1)
+        inp = FlowLtInput(frames=[], stats=make_stats())
+        prev = self._prev(3.21e6, delay_s=0.25, s_ave_bytes=40000.0)
+        decision = allocate_lt({0: inp}, prev, link_bps=1e9, epsilon=0.1)
         assert decision.rate_bps[0] == 3.21e6
         assert decision.target_delay_s[0] == 0.25
         assert decision.s_ave_bytes[0] == 40000.0
 
     def test_unready_stats_carry_forward(self):
         from vrsched.allocation import ArrivalServiceStats
-        inp = FlowLtInput(frames=[(0.5, 0.1)], stats=ArrivalServiceStats(),
-                          prev_rate_bps=2e6)
-        decision = allocate_lt({0: inp}, link_bps=1e9, epsilon=0.1)
+        inp = FlowLtInput(frames=[(0.5, 0.1)], stats=ArrivalServiceStats())
+        decision = allocate_lt({0: inp}, self._prev(2e6), link_bps=1e9,
+                               epsilon=0.1)
         assert decision.rate_bps[0] == 2e6
 
     def test_infeasible_constraint_flagged_at_floor(self):
         inp = self._input(frames=[(0.9, 0.05)])
-        decision = allocate_lt({0: inp}, link_bps=1e9, epsilon=0.0)
+        decision = allocate_lt({0: inp}, self._prev(1e6), link_bps=1e9, epsilon=0.0)
         assert 0 in decision.infeasible
         assert decision.target_delay_s[0] == 1e-3
 
@@ -249,9 +254,7 @@ class TestAllocateLt:
     )
     @settings(max_examples=40)
     def test_total_never_exceeds_link(self, n, link, prevs):
-        inputs = {
-            f: self._input(prev=prevs[f], frames=[(0.3, 0.02 * (f + 1))])
-            for f in range(n)
-        }
-        decision = allocate_lt(inputs, link_bps=link, epsilon=0.05)
+        inputs = {f: self._input(frames=[(0.3, 0.02 * (f + 1))]) for f in range(n)}
+        decision = allocate_lt(inputs, self._prev(*prevs[:n]), link_bps=link,
+                               epsilon=0.05)
         assert decision.total() <= link

@@ -97,6 +97,22 @@ class TestRunCommand:
                      "--out", str(tmp_path / "out2")]) == 0
 
 
+# trace files with one bad record each, written into the test's directory
+BAD_TRACES = {
+    "bad.csv": "0,1,1,1,abc,0.5,1000.0,0.0\n",
+    "nan_ddl.csv": "0,1,1,1,100,0.5,nan,0.0\n",
+    "inf_send.csv": "0,1,1,1,100,0.5,1000.0,inf\n",
+    "negative_send.csv": "0,1,1,1,100,0.5,1000.0,-5.0\n",
+    "decreasing_send.csv": "0,1,1,1,100,0.5,1000.0,10.0\n0,1,1,2,100,0.5,1000.0,5.0\n",
+    "repeated_id.csv": "0,1,1,1,100,0.5,1000.0,0.0\n0,1,1,1,100,0.5,990.0,10.0\n",
+}
+
+
+def _trace_case(name: str, line: int):
+    return ({"n_flows": 1, "trace_files": [name]}, ["run"], {},
+            f"trace_files: {name}:{line}")
+
+
 class TestBadInput:
     @pytest.mark.parametrize("extra,args,env,field", [
         ({}, ["run", "--override", "bottleneck_mbps=inf"], {}, "bottleneck_mbps"),
@@ -110,13 +126,28 @@ class TestBadInput:
         ({}, ["sweep"], {"VRSCHED_WORKERS": "abc"}, "VRSCHED_WORKERS"),
         ({}, ["run", "--seed", "-1"], {}, "seed"),
         ({}, ["run", "--override", "gop_size=3"], {}, "gop_size"),
+        ({}, ["run", "--override", "chunk_s=0"], {}, "chunk_s"),
+        ({}, ["run", "--override", "sti_s=1e-9"], {}, "sti_s"),
+        ({"sti_s": 1e-9}, ["run", "--override", "delta_s=1e-9"], {}, "delta_s"),
+        ({}, ["run", "--override", "fps=1e-9"], {}, "fps/chunk_s"),
+        ({}, ["run", "--override", "tile_rows=-1", "--override", "tile_cols=-6"], {},
+         "tile_rows/tile_cols"),
+        _trace_case("nan_ddl.csv", 2),
+        _trace_case("inf_send.csv", 2),
+        _trace_case("negative_send.csv", 2),
+        _trace_case("decreasing_send.csv", 3),
+        _trace_case("repeated_id.csv", 3),
     ], ids=["inf", "nan", "unknown-policy", "string-for-float", "float-for-int",
             "malformed-trace-file", "bad-bandwidth", "bad-seed-list", "bad-workers-env",
-            "negative-seed", "odd-gop-size"])
+            "negative-seed", "odd-gop-size", "zero-chunk", "sub-us-short-interval",
+            "sub-us-long-interval", "chunk-shorter-than-a-frame", "negative-tile-grid",
+            "nan-deadline", "infinite-send-time", "negative-send-time",
+            "decreasing-send-time", "repeated-frame-id"])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, monkeypatch,
                                          extra, args, env, field):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad.csv").write_text(TRACE_HEADER + "\n0,1,1,1,abc,0.5,1000.0,0.0\n")
+        for name, records in BAD_TRACES.items():
+            (tmp_path / name).write_text(TRACE_HEADER + "\n" + records)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         cfg = write_config(tmp_path, **extra)
@@ -164,6 +195,11 @@ class TestSweep:
                                              policy="proposed", seed=4)).summary
         for key in ("total_quality_loss", "per_flow_loss_std", "avg_drop_rate"):
             assert cell[key] == direct[key]
+
+    def test_two_workers_match_one(self):
+        cfg = SimConfig(**{**TINY, "video_s": 2.0})
+        grid = ([5.0, 6.0], ["proposed", "rr"], [1, 2])
+        assert sweep_grid(cfg, *grid, workers=2) == sweep_grid(cfg, *grid, workers=1)
 
     def test_ablation_preset_policy_set(self, tmp_path):
         cfg = write_config(tmp_path, video_s=2.0)

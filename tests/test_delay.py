@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import make_frame
-from vrsched.delay import EwmaStat, FlowDelayState, queuing_delay_bound, revise_bounds
+from vrsched.delay import EwmaStat, FlowDelayState, revise_bounds
 from vrsched.video import FrameId
 
 
@@ -44,28 +44,28 @@ class TestEwma:
 
 
 class TestQueuingDelayBound:
-    def _stats(self, rtt_ms, q_ms):
-        rtt = EwmaStat()
-        rtt.update(rtt_ms)
-        q = EwmaStat()
-        q.update(q_ms)
-        return rtt, q
+    def _tracker(self, rtt_ms, q_ms):
+        tracker = FlowDelayState()
+        ref = FrameId(1, 1, 1)
+        tracker.record_departure(ref, q_ms)
+        assert tracker.apply_mark(rtt_ms, ref)
+        return tracker
 
     def test_spec_example(self):
-        rtt, q = self._stats(80.0, 30.0)
-        assert queuing_delay_bound(1500.0, rtt, q) == pytest.approx(1450.0)
+        tracker = self._tracker(80.0, 30.0)
+        assert tracker.bound_for(1500.0) == pytest.approx(1450.0)
 
     def test_expired_on_arrival(self):
-        rtt, q = self._stats(80.0, 30.0)
-        assert queuing_delay_bound(40.0, rtt, q) == pytest.approx(-10.0)
+        tracker = self._tracker(80.0, 30.0)
+        assert tracker.bound_for(40.0) == pytest.approx(-10.0)
 
     def test_zero_external_delay(self):
-        rtt, q = self._stats(50.0, 50.0)
-        assert queuing_delay_bound(777.0, rtt, q) == pytest.approx(777.0)
+        tracker = self._tracker(50.0, 50.0)
+        assert tracker.bound_for(777.0) == pytest.approx(777.0)
 
     def test_uninitialized_falls_back_to_prior(self):
-        assert queuing_delay_bound(100.0, EwmaStat(), EwmaStat(),
-                                   prior_external_ms=20.0) == pytest.approx(80.0)
+        tracker = FlowDelayState(prior_external_ms=20.0)
+        assert tracker.bound_for(100.0) == pytest.approx(80.0)
 
 
 class TestReviseBounds:

@@ -5,7 +5,8 @@ from hypothesis import example, given, strategies as st
 
 from helpers import make_frame
 from vrsched.delay import revise_bounds
-from vrsched.frame_queue import FrameQueue, quality_loss, split_sets, tolerable_time
+from vrsched.frame_queue import FrameQueue, split_sets, tolerable_time
+from vrsched.metrics import MetricsCollector
 
 MS = 1000  # microseconds per millisecond
 
@@ -32,8 +33,8 @@ class TestResort:
         q.push(early)
         q.push(late)
         q.resort(0)
-        assert early.weight == pytest.approx(0.6875)
-        assert late.weight == pytest.approx(0.695)
+        assert -early.key[0] == pytest.approx(0.6875)
+        assert -late.key[0] == pytest.approx(0.695)
         assert q.frames == [late, early]
 
     def test_beta_zero_orders_by_importance(self):
@@ -123,6 +124,16 @@ class TestSplitSets:
         assert sum(f.remaining for f in fwd) <= budget
         fwd2, _, _ = split_sets(frames, budget + extra, 0)
         assert set(map(id, fwd)) <= set(map(id, fwd2))
+
+
+def quality_loss(forwarded, dropped) -> float:
+    """Quality loss of the metrics cell these frames departed in."""
+    collector = MetricsCollector([0])
+    for f in dropped:
+        collector.on_dropped(1, 0, f.gamma)
+    for f in forwarded:
+        collector.on_forwarded(1, 0, f.gamma, f.meta.size, late=False)
+    return collector.cell(1, 0).quality_loss
 
 
 class TestQualityLoss:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vrsched.config import SimConfig
-from vrsched.sim import LinkModel, Simulation, inject_delay, run
+from vrsched.sim import Simulation, inject_delay, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -21,21 +21,19 @@ def small_config(**kw):
 
 class TestInjectDelay:
     def test_stable_is_constant(self):
-        link = LinkModel(rate_bps=25e6, server_delay_ms=10.0, regime="stable")
+        cfg = SimConfig(server_delay_ms=10.0, regime="stable")
         rng = np.random.default_rng(0)
-        assert inject_delay(1000, link, rng) == 1000 + 10_000
+        assert inject_delay(1000, cfg, rng) == 1000 + 10_000
 
     def test_zero_jitter_degenerates_to_stable(self):
-        link = LinkModel(rate_bps=25e6, server_delay_ms=10.0, regime="unstable",
-                         jitter_mean_ms=0.0)
+        cfg = SimConfig(server_delay_ms=10.0, regime="unstable", jitter_mean_ms=0.0)
         rng = np.random.default_rng(0)
-        assert inject_delay(1000, link, rng) == 1000 + 10_000
+        assert inject_delay(1000, cfg, rng) == 1000 + 10_000
 
     def test_jitter_empirical_mean(self):
-        link = LinkModel(rate_bps=25e6, server_delay_ms=0.0, regime="unstable",
-                         jitter_mean_ms=15.0)
+        cfg = SimConfig(server_delay_ms=0.0, regime="unstable", jitter_mean_ms=15.0)
         rng = np.random.default_rng(42)
-        extra = [inject_delay(0, link, rng) for _ in range(100_000)]
+        extra = [inject_delay(0, cfg, rng) for _ in range(100_000)]
         assert np.mean(extra) / 1000.0 == pytest.approx(15.0, rel=0.02)
 
 
@@ -107,7 +105,8 @@ class TestRuns:
         assert not dropped & forwarded
         for f, rt in sim.flows.items():
             if rt.latest_mark is not None:
-                _, ref, _ = rt.latest_mark
+                _, seq = rt.latest_mark
+                ref = rt.trace.frames[seq].id
                 assert (f, ref.c, ref.m, ref.k) in forwarded
 
     def test_edf_single_flow_serves_in_fifo_order(self):

@@ -73,7 +73,7 @@ class TestGenerateTrace:
     def test_structure_counts(self):
         params = TraceParams()
         trace = generate_trace(params, seed=1)
-        assert trace.n_chunks == 30
+        assert {f.id.c for f in trace.frames} == set(range(1, 31))
         assert len(trace.frames) == 30 * 30  # fps * chunk_s frames per chunk
         per_chunk = {}
         for f in trace.frames:

@@ -143,13 +143,13 @@ class TestTraceFile:
                       15.0 + k * 33.3)
             for k in range(1, 7)
         )
-        return FlowTrace(flow=3, chunk_s=1.0, frames=frames)
+        return FlowTrace(flow=3, frames=frames)
 
     def test_round_trip(self, tmp_path):
         trace = self._trace()
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
-        back = read_trace(path, chunk_s=1.0)
+        back = read_trace(path)
         assert back.flow == trace.flow
         assert back.frames == trace.frames
 
