@@ -92,10 +92,14 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def sweep_grid(cfg: SimConfig, bandwidths: list[float], policies: list[str],
                seeds: list[int], workers: int = 1) -> list[dict]:
-    """Run the full grid and return per-cell summaries in grid order."""
+    """Run the full grid; return per-cell summaries by bandwidth, policy, seed.
+
+    Cells run seed by seed, so each seed's traces are built once and shared
+    by its cells (see ``traffic.cached_trace``).
+    """
     cells = [
         dataclasses.replace(cfg, bottleneck_mbps=b, policy=p, seed=s)
-        for b in bandwidths for p in policies for s in seeds
+        for s in seeds for b in bandwidths for p in policies
     ]
     for cell in cells:
         cell.validate()

@@ -16,7 +16,7 @@ from typing import Any
 
 from .baselines import parse_policy
 from .traffic import TraceParams
-from .video import US_PER_S, two_layer_gop
+from .video import US_PER_S
 
 
 class ConfigError(Exception):
@@ -154,10 +154,6 @@ class SimConfig:
             parse_policy(self.policy)
         except ValueError as exc:
             raise ConfigError(f"policy: {exc}") from exc
-        try:
-            two_layer_gop(self.gop_size)
-        except ValueError as exc:
-            raise ConfigError(f"gop_size: {exc}") from exc
         if self.trace_files and len(self.trace_files) != self.n_flows:
             raise ConfigError(
                 f"trace_files: got {len(self.trace_files)} paths for {self.n_flows} flows"

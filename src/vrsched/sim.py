@@ -31,7 +31,7 @@ from .forwarder import DropAction, DwrrForwarder
 from .frame_queue import FrameQueue, QueuedFrame, tolerable_time
 from .metrics import MetricsCollector, csv_text, summary_csv, write_text
 from .scheduling import FlowStInput, schedule_st
-from .traffic import generate_trace
+from .traffic import cached_trace
 from .video import US_PER_MS, US_PER_S, FlowTrace, FrameMeta, read_trace
 
 # event kind priorities: lower runs first at equal timestamps
@@ -159,7 +159,7 @@ class Simulation:
                 except ValueError as exc:
                     raise ConfigError(f"trace_files: {exc}") from exc
             else:
-                trace = generate_trace(config.trace_params(f), config.seed)
+                trace = cached_trace(config.trace_params(f), config.seed)
             self.flows[f] = _FlowRuntime(
                 trace=trace,
                 queue=FrameQueue(

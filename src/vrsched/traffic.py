@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .video import (
     importance,
     two_layer_gop,
 )
+from .wire import MAX_CHUNK, MAX_GOP_POS, MAX_TILE
 
 _SIZE_STREAM = 0
 _WALK_STREAM = 1
@@ -60,22 +62,40 @@ class TraceParams:
         return self.frames_per_chunk // self.gop_size
 
     def validate(self) -> None:
-        """Raise ValueError, its message led by the offending field names."""
+        """Raise ValueError, its message led by the offending field names.
+
+        Chunk, tile and GoP position ids must fit the wire's fields. The
+        quotients are bounded before ``n_chunks`` and ``frames_per_chunk``
+        round them: an infinite one cannot be rounded, and a huge one would
+        build a trace until memory runs out.
+        """
         if self.bitrate_bps <= 0:
             raise ValueError(f"bitrate_bps: must be positive, got {self.bitrate_bps}")
         if self.chunk_s <= 0:
             raise ValueError(f"chunk_s: must be positive, got {self.chunk_s}")
+        if not self.video_s / self.chunk_s <= MAX_CHUNK:
+            raise ValueError(f"video_s/chunk_s: more than {MAX_CHUNK} chunks")
         if self.n_chunks < 1:
             raise ValueError("video_s/chunk_s: video shorter than one chunk")
+        if not self.fps * self.chunk_s <= MAX_TILE * MAX_GOP_POS:
+            raise ValueError(f"fps/chunk_s: more than {MAX_TILE * MAX_GOP_POS} frames per chunk")
         if self.frames_per_chunk < 1:
             raise ValueError("fps/chunk_s: chunk shorter than one frame interval")
+        if self.tile_rows < 1 or self.tile_cols < 1:
+            raise ValueError("tile_rows/tile_cols: must be positive")
+        if self.tile_rows * self.tile_cols > MAX_TILE:
+            raise ValueError(f"tile_rows/tile_cols: more than {MAX_TILE} tiles")
+        if self.gop_size > MAX_GOP_POS:
+            raise ValueError(f"gop_size: {self.gop_size} is more than {MAX_GOP_POS} frames")
+        try:
+            two_layer_gop(self.gop_size)
+        except ValueError as exc:
+            raise ValueError(f"gop_size: {exc}") from exc
         if self.gop_size > self.frames_per_chunk or self.frames_per_chunk % self.gop_size:
             raise ValueError(
                 f"gop_size/fps/chunk_s: gop size {self.gop_size} does not fit the "
                 f"{self.frames_per_chunk}-frame chunk"
             )
-        if self.tile_rows < 1 or self.tile_cols < 1:
-            raise ValueError("tile_rows/tile_cols: must be positive")
         if self.gops_per_chunk > self.tile_rows * self.tile_cols:
             raise ValueError("tile_rows/tile_cols: more GoPs per chunk than tiles in the grid")
         if self.request_lead_chunks < 1:
@@ -171,6 +191,15 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
     frame_gap_ms = chunk_ms / n_frames
     lead = params.request_lead_chunks
 
+    # one draw for the whole trace: the same generator gives the same
+    # values in the same order as one draw per GoP
+    means = np.full(params.gop_size, unit)
+    means[0] *= params.i_frame_ratio
+    n_gops = params.n_chunks * gops
+    sizes = gamma_frame_sizes(
+        size_rng, np.tile(means, n_gops), params.gamma_shape, n_gops * params.gop_size
+    ).tolist()
+
     frames: list[FrameMeta] = []
     for c in range(1, params.n_chunks + 1):
         # during pre-roll the countdown runs as if playback had begun, so
@@ -182,19 +211,16 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
         t_request = (c - 1) * chunk_ms
         t_first = t_request + params.uplink_ms
         tile_order = sorted(probs[c - 1], key=lambda m: (-probs[c - 1][m], m))
-        means = np.full(params.gop_size, unit)
-        means[0] *= params.i_frame_ratio
         j = 0
         for g in range(gops):
             tile = tile_order[g]
             p = probs[c - 1][tile]
-            sizes = gamma_frame_sizes(size_rng, means, params.gamma_shape, params.gop_size)
             for k in range(1, params.gop_size + 1):
                 t_send = t_first + j * frame_gap_ms
                 frames.append(
                     FrameMeta(
                         id=FrameId(c, tile, k),
-                        size=int(sizes[k - 1]),
+                        size=sizes[len(frames)],
                         gamma=importance(p, k, gop, params.importance_counts_self),
                         deadline_ms=frame_deadline(ddl_chunk, t_send, t_first),
                         send_time_ms=t_send,
@@ -205,5 +231,28 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
     return FlowTrace(
         flow=params.flow,
         frames=tuple(frames),
-        viewing_prob={c + 1: probs[c] for c in range(params.n_chunks)},
+        viewing_prob=MappingProxyType(
+            {c + 1: MappingProxyType(probs[c]) for c in range(params.n_chunks)}
+        ),
     )
+
+
+# The traces of one seed, keyed by (params, seed); see cached_trace.
+_TRACE_CACHE: dict[tuple[TraceParams, int], FlowTrace] = {}
+
+
+def cached_trace(params: TraceParams, seed: int) -> FlowTrace:
+    """:func:`generate_trace` through a cache that holds one seed's traces.
+
+    A trace depends only on ``(params, seed)``, so runs of one seed that
+    differ in policy, link or regime share their traces, which are
+    immutable. The cache is emptied before a trace of another seed is
+    made, so two seeds' traces are never held at once.
+    """
+    key = (params, seed)
+    trace = _TRACE_CACHE.get(key)
+    if trace is None:
+        if _TRACE_CACHE and next(iter(_TRACE_CACHE))[1] != seed:
+            _TRACE_CACHE.clear()
+        trace = _TRACE_CACHE[key] = generate_trace(params, seed)
+    return trace

@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Optional
+
+from .wire import MAX_CHUNK, MAX_GOP_POS, MAX_TILE
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
@@ -124,11 +127,15 @@ class FlowTrace:
 
     ``viewing_prob[c][m]`` is the viewing probability of tile m in chunk c.
     It is generator-side metadata and is not part of the trace file format.
+    A trace is shared by every run of its seed, so nothing in it can be
+    changed: ``viewing_prob`` is read-only at both levels.
     """
 
     flow: int
     frames: tuple[FrameMeta, ...]
-    viewing_prob: Mapping[int, Mapping[int, float]] = field(default_factory=dict)
+    viewing_prob: Mapping[int, Mapping[int, float]] = field(
+        default_factory=lambda: MappingProxyType({})
+    )
 
 
 TRACE_HEADER = "flow,c,m,k,size_bytes,gamma,ddl_ms,send_time_ms"
@@ -149,7 +156,8 @@ def read_trace(path: str | Path) -> FlowTrace:
     """Read a trace file written by :func:`write_trace`.
 
     Frames must be in send order: send times finite, nonnegative and
-    nondecreasing, deadlines finite, and no frame id repeated.
+    nondecreasing, deadlines finite, no frame id repeated, and every id
+    within the wire's chunk, tile and GoP position fields.
     """
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != TRACE_HEADER:
@@ -172,6 +180,9 @@ def read_trace(path: str | Path) -> FlowTrace:
             flow = fid
         elif fid != flow:
             raise ValueError(f"{path}:{ln}: mixed flow ids {flow} and {fid}")
+        if not (0 <= c <= MAX_CHUNK and 0 <= m <= MAX_TILE and 0 <= k <= MAX_GOP_POS):
+            raise ValueError(f"{path}:{ln}: frame ({c},{m},{k}) outside the wire's ranges "
+                             f"0..{MAX_CHUNK}, 0..{MAX_TILE}, 0..{MAX_GOP_POS}")
         if not (math.isfinite(ddl) and math.isfinite(send)):
             raise ValueError(f"{path}:{ln}: ddl_ms and send_time_ms must be finite")
         if send < last_send:

@@ -34,6 +34,11 @@ OPTION_LEN = 12
 
 _PACK = struct.Struct(">BBBHBBHHB")
 
+# largest identity the option can carry: a 2-byte chunk, 1-byte tile and GoP position
+MAX_CHUNK = 0xFFFF
+MAX_TILE = 0xFF
+MAX_GOP_POS = 0xFF
+
 
 class WireError(ValueError):
     """Malformed option bytes or out-of-range field."""
@@ -62,12 +67,12 @@ def encode(opt: MetadataOption) -> bytes:
     Millisecond fields are saturated; identity fields out of range raise,
     since clamping an index would silently mislabel the frame.
     """
-    if not 0 <= opt.chunk <= 0xFFFF:
-        raise WireError(f"chunk index {opt.chunk} outside 0..65535")
-    if not 0 <= opt.tile <= 0xFF:
-        raise WireError(f"tile index {opt.tile} outside 0..255")
-    if not 0 <= opt.gop_pos <= 0xFF:
-        raise WireError(f"gop position {opt.gop_pos} outside 0..255")
+    if not 0 <= opt.chunk <= MAX_CHUNK:
+        raise WireError(f"chunk index {opt.chunk} outside 0..{MAX_CHUNK}")
+    if not 0 <= opt.tile <= MAX_TILE:
+        raise WireError(f"tile index {opt.tile} outside 0..{MAX_TILE}")
+    if not 0 <= opt.gop_pos <= MAX_GOP_POS:
+        raise WireError(f"gop position {opt.gop_pos} outside 0..{MAX_GOP_POS}")
     if not 0 <= opt.rtt_ref_offset <= 0xFF:
         raise WireError(f"rtt reference offset {opt.rtt_ref_offset} outside 0..255")
     return _PACK.pack(

@@ -105,6 +105,9 @@ BAD_TRACES = {
     "negative_send.csv": "0,1,1,1,100,0.5,1000.0,-5.0\n",
     "decreasing_send.csv": "0,1,1,1,100,0.5,1000.0,10.0\n0,1,1,2,100,0.5,1000.0,5.0\n",
     "repeated_id.csv": "0,1,1,1,100,0.5,1000.0,0.0\n0,1,1,1,100,0.5,990.0,10.0\n",
+    "chunk_70000.csv": "0,70000,1,1,100,0.5,1000.0,0.0\n",
+    "tile_256.csv": "0,1,256,1,100,0.5,1000.0,0.0\n",
+    "gop_pos_256.csv": "0,1,1,256,100,0.5,1000.0,0.0\n",
 }
 
 
@@ -137,12 +140,22 @@ class TestBadInput:
         _trace_case("negative_send.csv", 2),
         _trace_case("decreasing_send.csv", 3),
         _trace_case("repeated_id.csv", 3),
+        ({}, ["run", "--override", "video_s=1e308"], {}, "video_s/chunk_s"),
+        ({}, ["run", "--override", "video_s=70000"], {}, "video_s/chunk_s"),
+        ({}, ["run", "--override", "tile_rows=16", "--override", "tile_cols=16"], {},
+         "tile_rows/tile_cols"),
+        ({}, ["run", "--override", "gop_size=256", "--override", "fps=256"], {}, "gop_size"),
+        _trace_case("chunk_70000.csv", 2),
+        _trace_case("tile_256.csv", 2),
+        _trace_case("gop_pos_256.csv", 2),
     ], ids=["inf", "nan", "unknown-policy", "string-for-float", "float-for-int",
             "malformed-trace-file", "bad-bandwidth", "bad-seed-list", "bad-workers-env",
             "negative-seed", "odd-gop-size", "zero-chunk", "sub-us-short-interval",
             "sub-us-long-interval", "chunk-shorter-than-a-frame", "negative-tile-grid",
             "nan-deadline", "infinite-send-time", "negative-send-time",
-            "decreasing-send-time", "repeated-frame-id"])
+            "decreasing-send-time", "repeated-frame-id", "huge-video", "video-past-chunk-65535",
+            "256-tiles", "gop-of-256", "trace-chunk-70000", "trace-tile-256",
+            "trace-gop-position-256"])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, monkeypatch,
                                          extra, args, env, field):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from vrsched import traffic
+from vrsched.cli import sweep_grid
+from vrsched.config import SimConfig
+from vrsched.sim import Simulation
 from vrsched.traffic import (
     TraceParams,
     gamma_frame_sizes,
@@ -118,6 +125,13 @@ class TestGenerateTrace:
                     lead_ms - (f.send_time_ms - first)
                 )
 
+    def test_viewing_prob_is_read_only(self):
+        trace = generate_trace(TraceParams(), seed=5)
+        with pytest.raises(TypeError):
+            trace.viewing_prob[1] = {}
+        with pytest.raises(TypeError):
+            trace.viewing_prob[1][1] = 0.0
+
     def test_gop_must_divide_chunk(self):
         with pytest.raises(ValueError):
             TraceParams(gop_size=7).validate()
@@ -131,3 +145,65 @@ class TestGenerateTrace:
         i_sizes = [f.size for f in trace.frames if f.id.k == 1]
         p_sizes = [f.size for f in trace.frames if f.id.k > 1]
         assert np.mean(i_sizes) > 2.0 * np.mean(p_sizes)
+
+
+class TestWireRanges:
+    """Every chunk, tile and GoP position id a trace can hold fits the wire."""
+
+    @pytest.mark.parametrize("fields,names", [
+        (dict(video_s=1e308), "video_s/chunk_s"),
+        (dict(video_s=1.0, chunk_s=5e-324), "video_s/chunk_s"),
+        (dict(video_s=65536.0), "video_s/chunk_s"),
+        (dict(fps=1e308, chunk_s=10.0), "fps/chunk_s"),
+        (dict(tile_rows=16, tile_cols=16), "tile_rows/tile_cols"),
+        (dict(gop_size=256, fps=256.0), "gop_size"),
+        (dict(gop_size=0), "gop_size"),
+    ], ids=["huge-video", "infinite-chunk-count", "one-chunk-too-many",
+            "infinite-frame-count", "256-tiles", "gop-of-256", "gop-of-0"])
+    def test_rejected_naming_the_fields(self, fields, names):
+        with pytest.raises(ValueError, match=f"^{names}:"):
+            TraceParams(**fields).validate()
+
+    def test_largest_ids_accepted(self):
+        TraceParams(video_s=65535.0, tile_rows=15, tile_cols=17).validate()
+        TraceParams(gop_size=254, fps=254.0).validate()
+
+
+SMALL = dict(n_flows=3, bitrate_mbps_min=2.0, bitrate_mbps_max=3.0,
+             video_s=2.0, bottleneck_mbps=6.0)
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(traffic, "_TRACE_CACHE", {})
+
+
+@pytest.mark.usefixtures("empty_cache")
+class TestTraceCache:
+    def test_runs_of_one_seed_share_their_traces(self):
+        a = Simulation(SimConfig(**SMALL, policy="proposed", seed=3))
+        b = Simulation(SimConfig(**{**SMALL, "bottleneck_mbps": 9.0}, policy="rr",
+                                 regime="unstable", seed=3))
+        for f in a.flows:
+            assert a.flows[f].trace is b.flows[f].trace
+
+    def test_another_seed_evicts_the_old_traces(self):
+        sim = Simulation(SimConfig(**SMALL, seed=3))
+        refs = [weakref.ref(rt.trace) for rt in sim.flows.values()]
+        del sim
+        gc.collect()
+        assert all(ref() is not None for ref in refs)  # the cache holds them
+        Simulation(SimConfig(**SMALL, seed=4))
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_sweep_builds_each_trace_once(self, monkeypatch):
+        calls = []
+
+        def counting(params, seed):
+            calls.append((params.flow, seed))
+            return generate_trace(params, seed)
+
+        monkeypatch.setattr(traffic, "generate_trace", counting)
+        sweep_grid(SimConfig(**SMALL), [6.0], ["proposed", "rr"], [1, 2])
+        assert sorted(calls) == [(f, s) for f in range(3) for s in (1, 2)]
