@@ -151,16 +151,24 @@ POLICY_DIGESTS = {
     ("edf", "stable", False): "dfbee4e028ce25f5f8c8f4efc8e9237cf4686c35083425f87fad82f4202bc487",
     ("edf", "stable", True): "92ff37cb65a364f0adad2f223aa91a45962fce2c23c341fa762618c4ae58af91",
     ("edf", "unstable", True): "5e7af2ba394c71f5dd328430189a0c456acbc41cad0f28cec48d0fb59016141a",
+    ("no-order", "stable", False): "1c461a0bc23b3c66b7651260b90e77c2d7eb18a29456799d2ba74cb680ecd5d6",
     ("no-order", "stable", True): "8dc0863244850ffd1d568ade25a9048fb519550f3a3bde4f9db0b4439c6740c1",
+    ("no-order", "unstable", False): "bc2f97cc8efa74ead76ae5812e8405c35177379042b6488a2ff550971d5f23e3",
     ("no-order", "unstable", True): "700804adca06e1e9a525ffedd0867b2128161352977ed6f86ecf167d19989c56",
+    ("proposed", "stable", False): "1f924eacfc1af041d4a777ba743b9e190721ef335d0c046c7489c78129193591",
     ("proposed", "stable", True): "b321b5cb6f7d446e0889d07606329ecbc713716f9ed49b3e944cf8ffd82d9f2f",
+    ("proposed", "unstable", False): "7b94f60237c976c83500f6fded2b7e5f1935cc0a03a209723e00d1c320bbc71e",
     ("proposed", "unstable", True): "4cb272b1d71b94ab56ae69fa5a7cb766ed3a3064283f60bd027009a59a71fe85",
     ("rr", "stable", False): "9a40d184ec8628983d33186a202c02d75074c74918fe590001ed851f2ebe8c65",
     ("rr", "stable", True): "bcba543a239a67ab71db1b36da943f2f261fbc7a81b16bb6fa82c3ccd57f2560",
     ("rr", "unstable", True): "016daffc3a8dc7ee37bdab0397b74b529d2354851ebcaf9d0998de5601228ea0",
+    ("single-ts-1000", "stable", False): "d5d2e6dd54badcb4f6666a03a7776e67b173612c95031af9f10050031bd769fd",
     ("single-ts-1000", "stable", True): "6be051c8245db29a58cf0b89fbc0145dc4b2b39ccc77a249cf500d5532c79d15",
+    ("single-ts-1000", "unstable", False): "fe9d2201335004d12e601cba8d112d08ac688c66c03b13c202817d0687948640",
     ("single-ts-1000", "unstable", True): "d093ef1a171c7469d3e9188bea55c33db4fb24ec2df439bdf46a6ad17da1d731",
+    ("single-ts-50", "stable", False): "2df70de93ccf72170ff410c6aa3f3df732ca5ac579599e463505b139e5eced59",
     ("single-ts-50", "stable", True): "24521129d30455897cdaa9a9bd83e52746c77e870a37022322c8976bf115242f",
+    ("single-ts-50", "unstable", False): "6fad2388b8cc3924cf49a0a52a119ed02fb4b24d292cb703642b77d4c785c5cd",
     ("single-ts-50", "unstable", True): "d715bf8f8dcf26c066aa20b8fbcc5f7dc8f23c4d106db06f0dcf91f834521178",
     ("single-ts-500", "stable", True): "9746d6733b81041b4ea7c03c2c121c74435ea787e207b7446f971f186b05791e",
     ("single-ts-500", "unstable", True): "c9014a5d77301138cf95c17e8d387ef8d654f639eb6f4cd707ea4db873013260",
