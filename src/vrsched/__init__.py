@@ -3,8 +3,8 @@
 A discrete-event simulator of multiple tiled-VR flows sharing one
 bottleneck link, plus the reusable scheduling pieces: queuing-delay-bound
 tracking, frame-importance ordering, Kingman-based long-timescale
-allocation, greedy short-timescale scheduling, and a frame-level DWRR
-forwarder, with RR/EDF baselines and ablation variants.
+allocation, greedy short-timescale scheduling, and frame-level DWRR and
+EDF forwarders, with RR/EDF baselines and ablation variants.
 """
 
 from .allocation import (
@@ -16,10 +16,10 @@ from .allocation import (
     max_target_delay,
     rate_for_target_delay,
 )
-from .baselines import SchedulerPolicy, edf_next, parse_policy, rr_allocate
+from .baselines import SchedulerPolicy, parse_policy, rr_allocate
 from .config import ConfigError, SimConfig, apply_overrides, load_config
-from .delay import EwmaStat, FlowDelayState, revise_bounds
-from .forwarder import DwrrForwarder
+from .delay import EwmaStat, FlowDelayState
+from .forwarder import DwrrForwarder, EdfForwarder
 from .frame_queue import FrameQueue, QueuedFrame, split_sets, tolerable_time
 from .scheduling import FlowStInput, StDecision, classify, compensate, schedule_st, utility
 from .sim import RunResult, Simulation, inject_delay, run

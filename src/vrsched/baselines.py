@@ -2,17 +2,15 @@
 
 All variants share the bottleneck pipeline; a policy only changes which
 pieces run. RR replaces the allocator with an equal split over active flows
-but keeps the same forwarder; EDF bypasses allocation entirely and serves
-one frame at a time by deadline slack; the ablations disable weight
-ordering or collapse both timescales to a single period.
+but keeps the DWRR forwarder; EDF bypasses allocation and is a forwarder of
+its own, serving one whole frame at a time by deadline slack; the ablations
+disable weight ordering or collapse both timescales to a single period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
-
-from .frame_queue import FrameQueue, tolerable_time
+from typing import Optional
 
 PROPOSED = "proposed"
 RR = "rr"
@@ -75,20 +73,3 @@ def rr_allocate(active_flows: list[int], link_bps: float) -> dict[int, float]:
     share = link_bps / len(active_flows)
     return {f: share for f in active_flows}
 
-
-def edf_next(queues: Mapping[int, FrameQueue], now_us: int) -> Optional[int]:
-    """Flow whose head frame has the least deadline slack; None if all empty.
-
-    Ties break toward the lowest flow id. Callers purge expired heads first
-    so the winner is actually transmittable.
-    """
-    best: Optional[int] = None
-    best_slack = 0.0
-    for flow in sorted(queues):
-        head = queues[flow].head()
-        if head is None:
-            continue
-        slack = tolerable_time(head, now_us)
-        if best is None or slack < best_slack:
-            best, best_slack = flow, slack
-    return best

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .baselines import parse_policy
-from .traffic import TraceParams
+from .traffic import MAX_CHUNK_BYTES, TraceParams
 from .video import US_PER_S
 
 
@@ -166,6 +166,11 @@ class SimConfig:
                 self.trace_params(0).validate()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            # flow 0 has the least bitrate; the last flow may have the most
+            if not self.bitrate_mbps_max * 1e6 * self.chunk_s / 8.0 <= MAX_CHUNK_BYTES:
+                raise ConfigError(
+                    f"bitrate_mbps_max: a chunk would hold more than {MAX_CHUNK_BYTES:g} bytes"
+                )
 
     @classmethod
     def from_dict(cls, data: dict[str, Any], source: str = "config") -> "SimConfig":

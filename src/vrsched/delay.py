@@ -13,7 +13,7 @@ import bisect
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .video import FrameId
 
@@ -45,18 +45,6 @@ class EwmaStat:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-
-def revise_bounds(frames: Iterable, net_state_ms: float) -> None:
-    """Re-derive every queued frame's bound from the latest network state.
-
-    Each frame's bound becomes its deadline minus ``net_state_ms``; relative
-    deadline order is preserved. Frames must expose ``ddl_ms``/``bound_ms``.
-    """
-    if not math.isfinite(net_state_ms):
-        raise ValueError(f"network state must be finite, got {net_state_ms}")
-    for f in frames:
-        f.bound_ms = f.ddl_ms - net_state_ms
 
 
 @dataclass

@@ -1,12 +1,14 @@
-"""Frame-level deficit weighted round robin egress.
+"""Egress: the forwarders that turn queued frames into link actions.
 
-Allocation decisions become per-flow byte credit at every tick; the
-forwarder spends credit on whole frames in queue order, dropping expired
-heads at service time and carrying a partially transmitted frame across
-rounds. The link clock (owned by the simulator) decides departure timing;
-this module only decides order and byte accounting, one action at a time so
-the expiry check always happens at the moment a frame would actually go
-out.
+Each forwarder yields one action at a time, so the expiry check happens
+at the moment a frame would actually go out; the queue decides whether a
+head has expired. The link clock (owned by the simulator) decides
+departure timing; a forwarder only decides order and byte accounting.
+
+DWRR turns allocation decisions into per-flow byte credit at every tick,
+spends it on whole frames in queue order and carries a partially
+transmitted frame across rounds. EDF needs no credit: it sends the whole
+head frame with the least deadline slack.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ Action = Union[SendAction, DropAction]
 class DwrrForwarder:
     """Deficit state and round-robin cursor over a fixed flow set."""
 
-    def __init__(self, flows: Sequence[int], purge_expired: bool = True):
+    def __init__(self, flows: Sequence[int]):
         self._order = list(flows)
         self._cursor = 0
-        self.purge_expired = purge_expired
         self.deficit: dict[int, float] = {f: 0.0 for f in flows}
 
     def replenish(self, flow: int, rate_bps: float, interval_s: float) -> None:
@@ -70,16 +71,11 @@ class DwrrForwarder:
         for i in range(n):
             flow = self._order[(self._cursor + i) % n]
             queue = queues[flow]
-            head = queue.head()
-            if (
-                head is not None
-                and self.purge_expired
-                and not head.in_service
-                and tolerable_time(head, now_us) < 0
-            ):
-                queue.pop_head()
+            dead = queue.pop_expired_head(now_us)
+            if dead is not None:
                 self._cursor = (self._cursor + i) % n
-                return DropAction(flow, head)
+                return DropAction(flow, dead)
+            head = queue.head()
             avail = int(self.deficit[flow])
             if head is None or avail <= 0:
                 continue
@@ -97,21 +93,36 @@ class DwrrForwarder:
             return SendAction(flow, head, sent, completed)
         return None
 
-    def forward_round(
-        self, queues: Mapping[int, FrameQueue], now_us: int
-    ) -> tuple[list[SendAction], list[DropAction]]:
-        """Drain every spendable deficit in round-robin order at one instant.
 
-        Convenience batch form of :meth:`next_action`; the simulator instead
-        interleaves single actions with the link clock.
+class EdfForwarder:
+    """Earliest deadline first: one whole frame per link slot, no credit."""
+
+    def __init__(self, flows: Sequence[int]):
+        self._order = sorted(flows)
+
+    def next_action(
+        self, queues: Mapping[int, FrameQueue], now_us: int
+    ) -> Optional[Action]:
+        """Drop an expired head, else send the head with the least slack.
+
+        Expired heads go first, one action each, in flow order. Ties on
+        slack break toward the lowest flow id.
         """
-        sends: list[SendAction] = []
-        drops: list[DropAction] = []
-        while True:
-            act = self.next_action(queues, now_us)
-            if act is None:
-                return sends, drops
-            if isinstance(act, SendAction):
-                sends.append(act)
-            else:
-                drops.append(act)
+        best: Optional[int] = None
+        best_slack = 0.0
+        for flow in self._order:
+            queue = queues[flow]
+            dead = queue.pop_expired_head(now_us)
+            if dead is not None:
+                return DropAction(flow, dead)
+            head = queue.head()
+            if head is None:
+                continue
+            slack = tolerable_time(head, now_us)
+            if best is None or slack < best_slack:
+                best, best_slack = flow, slack
+        if best is None:
+            return None
+        frame = queues[best].pop_head()
+        sent, frame.remaining = frame.remaining, 0
+        return SendAction(best, frame, sent, True)

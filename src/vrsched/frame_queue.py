@@ -3,18 +3,21 @@
 Frames wait here between arrival and forwarding. The queue is kept in
 descending weight order, where weight trades importance against remaining
 tolerable queuing time; selection of the forwarded / dropped / retained
-split is a budgeted prefix walk over that order.
+split is a budgeted prefix walk over that order. The queue also owns the
+two rules applied to every waiting frame: expiry of frames past their
+bound, and short-timescale revision of bounds to deadline - v.
 
 At time t a frame's weight is gamma - beta * (D - (t - t_arrival)) / 1000,
 with the bound D and times in ms. Every term that changes with t is the
-same for all frames of one queue: t itself, and, where the short timescale
-revises bounds to D = deadline - v, the flow's network state v. So two
-frames compare the same way at every tick, and each frame's rank is fixed
-once, when it is pushed.
+same for all frames of one queue: t itself, and, where bounds are revised
+to D = deadline - v, the flow's network state v. So two frames compare
+the same way at every tick, and each frame's rank is fixed once, when it
+is pushed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -85,28 +88,35 @@ class FrameQueue:
     nor expired out.
 
     ``revised`` says whether every queued bound is reset to deadline - v
-    before each resort (the short timescale does this). Frames are then
+    at each resort (the short timescale does this). Frames are then
     ranked by their wire deadline, since v shifts all bounds alike;
     otherwise by the bound each frame arrived with, which never changes.
+    ``expire`` says whether frames past their bound are dropped at all.
     """
 
     def __init__(self, beta: float = 0.01, ordered: bool = True,
-                 revised: bool = False):
+                 revised: bool = False, expire: bool = True):
         self.beta = beta
         self.ordered = ordered  # False = FIFO (ordering ablation, RR, EDF)
         self.revised = revised
+        self.expire = expire
         self.frames: list[QueuedFrame] = []
 
     def __len__(self) -> int:
         return len(self.frames)
 
-    def push(self, frame: QueuedFrame) -> None:
+    def push(self, frame: QueuedFrame) -> bool:
         """Append at the tail; the frame takes its place at the next resort.
+
+        Returns False, leaving the queue as it was, when the queue expires
+        frames and this one arrives with a negative bound.
 
         The rank instant (ranking bound + arrival) is exact for whole-ms
         deadlines and whole-us arrivals, so frames tied on importance and
         on that instant tie exactly and fall back to frame id order.
         """
+        if self.expire and frame.bound_ms < 0:
+            return False
         if self.ordered:
             bound_ms = frame.ddl_ms if self.revised else frame.bound_ms
             instant_us = bound_ms * US_PER_MS + frame.t_arrival_us
@@ -114,6 +124,7 @@ class FrameQueue:
             fid = frame.meta.id
             frame.key = (-weight, fid.c, fid.m, fid.k)
         self.frames.append(frame)
+        return True
 
     def head(self) -> Optional[QueuedFrame]:
         return self.frames[0] if self.frames else None
@@ -121,17 +132,35 @@ class FrameQueue:
     def pop_head(self) -> QueuedFrame:
         return self.frames.pop(0)
 
-    def resort(self, now_us: int) -> None:
-        """Order by descending weight, merging in the frames pushed since.
+    def pop_expired_head(self, now_us: int) -> Optional[QueuedFrame]:
+        """Remove and return the head if it has expired; the pinned head is spared."""
+        frames = self.frames
+        if self.expire and frames:
+            f = frames[0]
+            # tolerable_time, inlined
+            if not f.in_service and f.bound_ms - (now_us - f.t_arrival_us) / US_PER_MS < 0:
+                return frames.pop(0)
+        return None
 
-        The order is the same at any ``now_us``: the sort runs on the keys
+    def resort(self, net_state_ms: Optional[float]) -> None:
+        """Revise the bounds, then order by descending weight.
+
+        A revised queue resets every bound, the pinned head's too, to
+        deadline - ``net_state_ms`` once the network state is known.
+
+        The order is the same at any instant: the sort runs on the keys
         fixed at push, over a body that is already sorted apart from its
         tail of new arrivals. Ties fall back to frame id order. The pinned
-        head stays first. No-op for FIFO queues.
+        head stays first. FIFO queues are never reordered.
         """
+        frames = self.frames
+        if self.revised and net_state_ms is not None:
+            if not math.isfinite(net_state_ms):
+                raise ValueError(f"network state must be finite, got {net_state_ms}")
+            for f in frames:
+                f.bound_ms = f.ddl_ms - net_state_ms
         if not self.ordered:
             return
-        frames = self.frames
         if frames and frames[0].in_service:
             body = frames[1:]
             body.sort(key=_sort_key)
@@ -142,9 +171,12 @@ class FrameQueue:
     def sweep_expired(self, now_us: int) -> list[QueuedFrame]:
         """Remove and return every expired frame (pinned head excluded).
 
-        The list is rebuilt only when something expired.
+        Returns [] when the queue does not expire frames. The list is
+        rebuilt only when something expired.
         """
         expired: list[QueuedFrame] = []
+        if not self.expire:
+            return expired
         keep: Optional[list[QueuedFrame]] = None
         for i, f in enumerate(self.frames):
             # tolerable_time, inlined

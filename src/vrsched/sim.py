@@ -24,11 +24,11 @@ import numpy as np
 
 from . import wire
 from .allocation import ArrivalServiceStats, FlowLtInput, LtDecision, allocate_lt
-from .baselines import EDF, RR, SINGLE_TS, SchedulerPolicy, edf_next, parse_policy, rr_allocate
+from .baselines import EDF, RR, SINGLE_TS, SchedulerPolicy, parse_policy, rr_allocate
 from .config import ConfigError, SimConfig
-from .delay import FlowDelayState, revise_bounds
-from .forwarder import DropAction, DwrrForwarder
-from .frame_queue import FrameQueue, QueuedFrame, tolerable_time
+from .delay import FlowDelayState
+from .forwarder import DropAction, DwrrForwarder, EdfForwarder
+from .frame_queue import FrameQueue, QueuedFrame
 from .metrics import MetricsCollector, csv_text, summary_csv, write_text
 from .scheduling import FlowStInput, schedule_st
 from .traffic import cached_trace
@@ -129,22 +129,22 @@ class Simulation:
 
         self.link_bps = config.link_bps
 
-        # The policy picks its tick and its kick here, once. They are kept as
-        # plain functions and called as fn(self, now_us): a bound method
-        # stored on the instance would be a reference cycle, which keeps a
-        # finished run's frames alive until the cyclic collector runs.
+        # The policy picks its tick here, once. It is kept as a plain
+        # function and called as fn(self, now_us): a bound method stored on
+        # the instance would be a reference cycle, which keeps a finished
+        # run's frames alive until the cyclic collector runs.
         cls = type(self)
         kind = self.policy.kind
         self.tick_s = config.sti_s
         if kind == EDF:
-            self._tick, self._kick = cls._edf_tick, cls._edf_kick
+            self._tick = cls._sweep_queues   # no allocation, so no credit to grant
         elif kind == RR:
-            self._tick, self._kick = cls._rr_tick, cls._dwrr_kick
+            self._tick = cls._rr_tick
         elif kind == SINGLE_TS:
-            self._tick, self._kick = cls._single_ts_tick, cls._dwrr_kick
+            self._tick = cls._single_ts_tick
             self.tick_s = self.policy.interval_s
         else:  # proposed / no-order
-            self._tick, self._kick = cls._st_phase, cls._dwrr_kick
+            self._tick = cls._st_phase
 
         self.delta_us = int(round(config.delta_s * US_PER_S))
         self.tick_us = int(round(self.tick_s * US_PER_S))
@@ -164,7 +164,7 @@ class Simulation:
                 trace=trace,
                 queue=FrameQueue(
                     beta=config.beta, ordered=self.policy.uses_weight_order,
-                    revised=self.policy.uses_st,
+                    revised=self.policy.uses_st, expire=config.proactive_drop,
                 ),
                 tracker=FlowDelayState(
                     alpha=config.ewma_alpha,
@@ -177,9 +177,7 @@ class Simulation:
             )
 
         self._queues = {f: rt.queue for f, rt in self.flows.items()}
-        self.forwarder = DwrrForwarder(
-            list(self.flows), purge_expired=config.proactive_drop
-        )
+        self.forwarder = (EdfForwarder if kind == EDF else DwrrForwarder)(list(self.flows))
         fair = config.link_bps / config.n_flows if config.n_flows else 0.0
         self.lt_decision = LtDecision(
             rate_bps={f: fair for f in self.flows},
@@ -250,11 +248,10 @@ class Simulation:
             fid = frame_meta.id
             self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "drop", None))
 
-    def _sweep_queue(self, now_us: int, flow: int) -> None:
-        if not self.config.proactive_drop:
-            return
-        for f in self.flows[flow].queue.sweep_expired(now_us):
-            self._drop(now_us, flow, f.meta)
+    def _sweep_queues(self, now_us: int) -> None:
+        for f, rt in self.flows.items():
+            for frame in rt.queue.sweep_expired(now_us):
+                self._drop(now_us, f, frame.meta)
 
     # -- event handlers ---------------------------------------------------
 
@@ -308,21 +305,18 @@ class Simulation:
         rt.last_arrival_us = now_us
         rt.stats.frame_size.update(meta.size)
 
-        bound_ms = rt.tracker.bound_for(float(opt.deadline_ms))
-        if bound_ms < 0 and self.config.proactive_drop:
+        frame = QueuedFrame(
+            meta=meta,
+            t_arrival_us=now_us,
+            ddl_ms=float(opt.deadline_ms),
+            bound_ms=rt.tracker.bound_for(float(opt.deadline_ms)),
+            remaining=meta.size,
+        )
+        if not rt.queue.push(frame):
             self._drop(now_us, flow, meta)
             return
-        rt.queue.push(
-            QueuedFrame(
-                meta=meta,
-                t_arrival_us=now_us,
-                ddl_ms=float(opt.deadline_ms),
-                bound_ms=bound_ms,
-                remaining=meta.size,
-            )
-        )
         # keep the link busy when credit is already available
-        self._kick(self, now_us)
+        self._kick(now_us)
 
     def _on_departure(self, now_us: int, flow: int, frame: QueuedFrame) -> None:
         rt = self.flows[flow]
@@ -345,10 +339,10 @@ class Simulation:
 
         # the client acks each receipt; the ack carries the RTT reference
         self._push(now_us + self.ack_lag_us, EV_ACK, flow, frame.meta.id)
-        self._kick(self, now_us)
+        self._kick(now_us)
 
     def _on_linkfree(self, now_us: int, flow: int, _data) -> None:
-        self._kick(self, now_us)
+        self._kick(now_us)
 
     def _on_ack(self, now_us: int, flow: int, frame_id) -> None:
         rt = self.flows[flow]
@@ -399,24 +393,18 @@ class Simulation:
 
     def _on_sti(self, now_us: int, _flow, _data) -> None:
         self._tick(self, now_us)
+        self._kick(now_us)
         if self._work_remaining(now_us):
             self._push(now_us + self.tick_us, EV_STI, -1, None)
 
-    def _edf_tick(self, now_us: int) -> None:
-        for f in self.flows:
-            self._sweep_queue(now_us, f)
-        self._edf_kick(now_us)
-
     def _rr_tick(self, now_us: int) -> None:
-        for f in self.flows:
-            self._sweep_queue(now_us, f)
+        self._sweep_queues(now_us)
         active = [f for f, rt in self.flows.items() if len(rt.queue)]
         rates = rr_allocate(active, self.link_bps)
         self._assert_budget(sum(rates.values()))
         for f, rate in rates.items():
             self.flows[f].current_rate_bps = rate
             self.forwarder.replenish(f, rate, self.tick_s)
-        self._dwrr_kick(now_us)
 
     def _single_ts_tick(self, now_us: int) -> None:
         self._run_lt_allocation(now_us, self.policy.interval_s)
@@ -429,23 +417,17 @@ class Simulation:
             rate = self.lt_decision.rate_bps[f] + share
             rt.current_rate_bps = rate
             self.forwarder.replenish(f, rate, self.tick_s)
-            rt.queue.resort(now_us)
-            self._sweep_queue(now_us, f)
-        self._dwrr_kick(now_us)
+            rt.queue.resort(rt.tracker.net_state_ms)
+        self._sweep_queues(now_us)
 
     def _st_phase(self, now_us: int) -> None:
         self.st_invocations += 1
         n = self._interval_of(now_us + 1)
         t_idx = (now_us % self.delta_us) // self.tick_us
 
-        for f, rt in self.flows.items():
-            v = rt.tracker.net_state_ms
-            if v is not None:
-                revise_bounds(rt.queue.frames, v)
-            rt.queue.resort(now_us)
-
         inputs: dict[int, FlowStInput] = {}
         for f, rt in self.flows.items():
+            rt.queue.resort(rt.tracker.net_state_ms)
             stats_ready = rt.stats.ready
             inputs[f] = FlowStInput(
                 frames=rt.queue.frames,
@@ -472,13 +454,12 @@ class Simulation:
                     (n, t_idx, f, st.rate_bps[f], st.phase1_bps.get(f, 0.0),
                      st.last_gain.get(f, 0.0))
                 )
-            self._sweep_queue(now_us, f)
-        self._dwrr_kick(now_us)
+        self._sweep_queues(now_us)
 
-    def _dwrr_kick(self, now_us: int) -> None:
+    def _kick(self, now_us: int) -> None:
         """Serve the queues while the link is free; one slice per departure.
 
-        Expired heads are purged at the instant they would otherwise be
+        Expired heads are dropped at the instant they would otherwise be
         served, so the bound check reflects the true service time rather
         than the tick that granted the credit.
         """
@@ -492,21 +473,6 @@ class Simulation:
                 continue
             self._commit_to_link(now_us, act.flow, act.frame, act.bytes_sent,
                                  act.completed)
-
-    def _edf_kick(self, now_us: int) -> None:
-        if self.link_busy_until_us > now_us:
-            return
-        queues = self._queues
-        if self.config.proactive_drop:
-            for f, q in queues.items():
-                while q.head() is not None and tolerable_time(q.head(), now_us) < 0:
-                    self._drop(now_us, f, q.pop_head().meta)
-        flow = edf_next(queues, now_us)
-        if flow is None:
-            return
-        frame = queues[flow].pop_head()
-        self._commit_to_link(now_us, flow, frame, frame.remaining, True)
-        frame.remaining = 0
 
     # -- main loop ---------------------------------------------------------
 

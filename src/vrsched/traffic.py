@@ -108,6 +108,11 @@ class TraceParams:
             raise ValueError("gamma_shape: must be positive")
 
 
+# Frame sizes are drawn as floats and stored as int64; a chunk of at most
+# this many bytes keeps every draw far inside that range.
+MAX_CHUNK_BYTES = 1e12
+
+
 def gamma_frame_sizes(
     rng: np.random.Generator, mean_bytes: float | np.ndarray, shape: float, n: int
 ) -> np.ndarray:

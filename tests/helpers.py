@@ -1,6 +1,7 @@
 """Shared builders for scheduler-level tests."""
 
 from vrsched.allocation import ArrivalServiceStats
+from vrsched.forwarder import SendAction
 from vrsched.frame_queue import QueuedFrame
 from vrsched.video import FrameId, FrameMeta
 
@@ -21,6 +22,14 @@ def make_frame(
         bound_ms=bound_ms,
         remaining=remaining if remaining is not None else size,
     )
+
+
+def drain(forwarder, queues, now_us):
+    """Every action a forwarder takes at one instant, as (sends, drops)."""
+    sends, drops = [], []
+    while (act := forwarder.next_action(queues, now_us)) is not None:
+        (sends if isinstance(act, SendAction) else drops).append(act)
+    return sends, drops
 
 
 def make_stats(mu_a_s=0.04, c_a=1.0, c_s=1.0, mu_s_s=0.03,

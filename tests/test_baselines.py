@@ -1,14 +1,26 @@
 import pytest
 
-from helpers import make_frame
-from vrsched.baselines import edf_next, parse_policy, rr_allocate
+from helpers import drain, make_frame
+from vrsched.baselines import parse_policy, rr_allocate
+from vrsched.forwarder import DropAction, EdfForwarder, SendAction
 from vrsched.frame_queue import FrameQueue
 
+MS = 1000  # microseconds per millisecond
 
-def queue_with_head(bound_ms):
-    q = FrameQueue(ordered=False)
-    q.push(make_frame(bound_ms=bound_ms))
+
+def queue_with_head(bound_ms, expire=True):
+    q = FrameQueue(ordered=False, expire=expire)
+    assert q.push(make_frame(bound_ms=bound_ms))
     return q
+
+
+def edf_pick(queues, now_us=0):
+    """The flow EDF sends from next, or None when it has nothing to do."""
+    act = EdfForwarder(list(queues)).next_action(queues, now_us)
+    if act is None:
+        return None
+    assert isinstance(act, SendAction) and act.completed
+    return act.flow
 
 
 class TestRrAllocate:
@@ -34,18 +46,52 @@ class TestEdfNext:
             1: queue_with_head(40.0),
             2: queue_with_head(300.0),
         }
-        assert edf_next(queues, 0) == 1
+        assert edf_pick(queues) == 1
 
     def test_tie_breaks_to_lowest_flow_id(self):
         queues = {1: queue_with_head(50.0), 0: queue_with_head(50.0)}
-        assert edf_next(queues, 0) == 0
+        assert edf_pick(queues) == 0
 
     def test_single_nonempty_queue(self):
         queues = {0: FrameQueue(), 1: queue_with_head(500.0)}
-        assert edf_next(queues, 0) == 1
+        assert edf_pick(queues) == 1
 
     def test_all_empty_returns_none(self):
-        assert edf_next({0: FrameQueue(), 1: FrameQueue()}, 0) is None
+        assert edf_pick({0: FrameQueue(), 1: FrameQueue()}) is None
+
+    def test_sends_the_whole_head(self):
+        q = queue_with_head(100.0)
+        frame = q.head()
+        act = EdfForwarder([0]).next_action({0: q}, 0)
+        assert act == SendAction(0, frame, frame.meta.size, True)
+        assert frame.remaining == 0 and len(q) == 0
+
+    def test_drops_every_expired_head_in_flow_order_before_one_send(self):
+        def fifo(*bounds):
+            q = FrameQueue(ordered=False)
+            for k, b in enumerate(bounds, start=1):
+                assert q.push(make_frame(k=k, bound_ms=b))
+            return q
+
+        # at 10 ms, frames with a bound under 10 ms have expired
+        queues = {0: fifo(5.0, 500.0), 1: fifo(1.0, 2.0, 400.0), 2: fifo(3.0, 50.0)}
+        frames = {f: list(q.frames) for f, q in queues.items()}
+        fwd = EdfForwarder([0, 1, 2])
+        acts = [fwd.next_action(queues, 10 * MS) for _ in range(5)]
+        assert acts[:4] == [
+            DropAction(0, frames[0][0]),
+            DropAction(1, frames[1][0]),
+            DropAction(1, frames[1][1]),
+            DropAction(2, frames[2][0]),
+        ]
+        assert isinstance(acts[4], SendAction)
+        assert acts[4].flow == 2 and acts[4].frame is frames[2][1]
+
+    def test_queue_without_expiry_sends_an_expired_head(self):
+        queues = {0: queue_with_head(-20.0, expire=False), 1: queue_with_head(10.0)}
+        sends, drops = drain(EdfForwarder([0, 1]), queues, 0)
+        assert drops == []
+        assert [s.flow for s in sends] == [0, 1]
 
 
 class TestPolicyParsing:

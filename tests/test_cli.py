@@ -148,6 +148,7 @@ class TestBadInput:
         _trace_case("chunk_70000.csv", 2),
         _trace_case("tile_256.csv", 2),
         _trace_case("gop_pos_256.csv", 2),
+        ({}, ["run", "--override", "bitrate_mbps_max=1e300"], {}, "bitrate_mbps_max"),
     ], ids=["inf", "nan", "unknown-policy", "string-for-float", "float-for-int",
             "malformed-trace-file", "bad-bandwidth", "bad-seed-list", "bad-workers-env",
             "negative-seed", "odd-gop-size", "zero-chunk", "sub-us-short-interval",
@@ -155,7 +156,7 @@ class TestBadInput:
             "nan-deadline", "infinite-send-time", "negative-send-time",
             "decreasing-send-time", "repeated-frame-id", "huge-video", "video-past-chunk-65535",
             "256-tiles", "gop-of-256", "trace-chunk-70000", "trace-tile-256",
-            "trace-gop-position-256"])
+            "trace-gop-position-256", "huge-bitrate"])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, monkeypatch,
                                          extra, args, env, field):
         monkeypatch.chdir(tmp_path)

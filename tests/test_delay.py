@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import make_frame
-from vrsched.delay import EwmaStat, FlowDelayState, revise_bounds
+from vrsched.delay import EwmaStat, FlowDelayState
+from vrsched.frame_queue import FrameQueue
 from vrsched.video import FrameId
 
 
@@ -69,26 +70,35 @@ class TestQueuingDelayBound:
 
 
 class TestReviseBounds:
+    """The queue revises bounds from the tracker's network state at resort."""
+
+    @staticmethod
+    def revise(frames, v):
+        q = FrameQueue(revised=True, expire=False)
+        for f in frames:
+            q.push(f)
+        q.resort(v)
+
     def test_same_state_is_identity(self):
         frames = [make_frame(ddl_ms=500.0, bound_ms=470.0)]
-        revise_bounds(frames, 30.0)
+        self.revise(frames, 30.0)
         assert frames[0].bound_ms == pytest.approx(470.0)
 
     def test_state_increase_shrinks_all_bounds_equally(self):
         frames = [make_frame(k=k, ddl_ms=500.0 + k, bound_ms=470.0 + k)
                   for k in range(1, 4)]
-        revise_bounds(frames, 50.0)
+        self.revise(frames, 50.0)
         for k, f in enumerate(frames, start=1):
             assert f.bound_ms == pytest.approx(470.0 + k - 20.0)
 
     def test_bound_can_go_negative(self):
         frames = [make_frame(ddl_ms=100.0, bound_ms=80.0)]
-        revise_bounds(frames, 120.0)
+        self.revise(frames, 120.0)
         assert frames[0].bound_ms == pytest.approx(-20.0)
 
     def test_rejects_nonfinite_state(self):
         with pytest.raises(ValueError):
-            revise_bounds([], float("nan"))
+            self.revise([], float("nan"))
 
     @given(
         ddls=st.lists(st.integers(min_value=0, max_value=3000), min_size=2, max_size=8),
@@ -97,7 +107,7 @@ class TestReviseBounds:
     def test_preserves_deadline_order(self, ddls, v):
         frames = [make_frame(k=i + 1, ddl_ms=float(d), bound_ms=d - 30.0)
                   for i, d in enumerate(ddls)]
-        revise_bounds(frames, v)
+        self.revise(frames, v)
         for a, b in zip(frames, frames[1:]):
             if a.ddl_ms < b.ddl_ms:
                 assert a.bound_ms < b.bound_ms

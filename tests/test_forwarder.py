@@ -1,14 +1,16 @@
 import pytest
 
-from helpers import make_frame
+from helpers import drain, make_frame
 from vrsched.forwarder import DropAction, DwrrForwarder, SendAction
 from vrsched.frame_queue import FrameQueue
 
+MS = 1000  # microseconds per millisecond
 
-def queue_of(*frames, ordered=True):
-    q = FrameQueue(ordered=ordered)
+
+def queue_of(*frames, ordered=True, expire=True):
+    q = FrameQueue(ordered=ordered, expire=expire)
     for f in frames:
-        q.push(f)
+        assert q.push(f)
     return q
 
 
@@ -36,23 +38,23 @@ class TestForwardRound:
         frame = make_frame(size=4000, bound_ms=1000.0)
         fwd = DwrrForwarder([0])
         fwd.deficit[0] = 10000.0
-        sends, drops = fwd.forward_round({0: queue_of(frame)}, 0)
+        sends, drops = drain(fwd, {0: queue_of(frame)}, 0)
         assert sends == [SendAction(0, frame, 4000, True)]
         assert drops == []
         assert fwd.deficit[0] == pytest.approx(6000.0)
 
     def test_expired_head_dropped_regardless_of_deficit(self):
-        dead = make_frame(size=4000, bound_ms=-1.0)
+        dead = make_frame(size=4000, bound_ms=1.0)
         fwd = DwrrForwarder([0])
         fwd.deficit[0] = 100000.0
-        sends, drops = fwd.forward_round({0: queue_of(dead)}, 0)
+        sends, drops = drain(fwd, {0: queue_of(dead)}, 2 * MS)
         assert sends == []
         assert drops == [DropAction(0, dead)]
 
     def test_empty_queues_are_a_noop(self):
         fwd = DwrrForwarder([0, 1])
         fwd.deficit[0] = fwd.deficit[1] = 5000.0
-        sends, drops = fwd.forward_round({0: queue_of(), 1: queue_of()}, 0)
+        sends, drops = drain(fwd, {0: queue_of(), 1: queue_of()}, 0)
         assert sends == [] and drops == []
 
     def test_partial_send_pins_frame_in_service(self):
@@ -60,7 +62,7 @@ class TestForwardRound:
         q = queue_of(frame)
         fwd = DwrrForwarder([0])
         fwd.deficit[0] = 5000.0
-        sends, _ = fwd.forward_round({0: q}, 0)
+        sends, _ = drain(fwd, {0: q}, 0)
         assert sends == [SendAction(0, frame, 5000, False)]
         assert frame.in_service
         assert frame.remaining == 3000
@@ -71,9 +73,9 @@ class TestForwardRound:
         q = queue_of(frame)
         fwd = DwrrForwarder([0])
         fwd.deficit[0] = 5000.0
-        fwd.forward_round({0: q}, 0)
+        drain(fwd, {0: q}, 0)
         fwd.replenish(0, 8e5, 0.05)  # 5000 B quantum
-        sends, _ = fwd.forward_round({0: q}, 0)
+        sends, _ = drain(fwd, {0: q}, 0)
         assert sends == [SendAction(0, frame, 3000, True)]
         assert not frame.in_service
         assert len(q) == 0
@@ -83,7 +85,7 @@ class TestForwardRound:
         f1 = make_frame(c=2, size=1000, bound_ms=1000.0)
         fwd = DwrrForwarder([0, 1])
         fwd.deficit[0] = fwd.deficit[1] = 1000.0
-        sends, _ = fwd.forward_round({0: queue_of(f0), 1: queue_of(f1)}, 0)
+        sends, _ = drain(fwd, {0: queue_of(f0), 1: queue_of(f1)}, 0)
         assert [s.flow for s in sends] == [0, 1]
 
     def test_work_conservation(self):
@@ -91,16 +93,28 @@ class TestForwardRound:
         frame = make_frame(size=50, bound_ms=1000.0)
         fwd = DwrrForwarder([0])
         fwd.deficit[0] = 1.0
-        sends, _ = fwd.forward_round({0: queue_of(frame)}, 0)
+        sends, _ = drain(fwd, {0: queue_of(frame)}, 0)
         assert sends and sends[0].bytes_sent >= 1
 
     def test_purge_disabled_serves_expired_frames(self):
+        # a queue that does not expire frames hands its dead head out as a send
         dead = make_frame(size=400, bound_ms=-50.0)
-        fwd = DwrrForwarder([0], purge_expired=False)
+        fwd = DwrrForwarder([0])
         fwd.deficit[0] = 1000.0
-        sends, drops = fwd.forward_round({0: queue_of(dead)}, 0)
+        sends, drops = drain(fwd, {0: queue_of(dead, expire=False)}, 0)
         assert drops == []
         assert sends == [SendAction(0, dead, 400, True)]
+
+    def test_pinned_expired_head_keeps_sending(self):
+        frame = make_frame(size=8000, bound_ms=1.0)
+        q = queue_of(frame)
+        fwd = DwrrForwarder([0])
+        fwd.deficit[0] = 5000.0
+        drain(fwd, {0: q}, 0)
+        fwd.replenish(0, 8e5, 0.05)
+        sends, drops = drain(fwd, {0: q}, 2 * MS)
+        assert drops == []
+        assert sends == [SendAction(0, frame, 3000, True)]
 
 
 class TestNextAction:

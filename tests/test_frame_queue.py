@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import make_frame
-from vrsched.delay import revise_bounds
 from vrsched.frame_queue import FrameQueue, split_sets, tolerable_time
 from vrsched.metrics import MetricsCollector
 
@@ -32,7 +31,7 @@ class TestResort:
         q = FrameQueue(beta=0.01)
         q.push(early)
         q.push(late)
-        q.resort(0)
+        q.resort(None)
         assert -early.key[0] == pytest.approx(0.6875)
         assert -late.key[0] == pytest.approx(0.695)
         assert q.frames == [late, early]
@@ -43,7 +42,7 @@ class TestResort:
         q = FrameQueue(beta=0.0)
         for f in frames:
             q.push(f)
-        q.resort(0)
+        q.resort(None)
         assert [f.gamma for f in q.frames] == [0.9, 0.5, 0.2]
 
     def test_equal_weight_ties_break_by_frame_id(self):
@@ -52,7 +51,7 @@ class TestResort:
         q = FrameQueue(beta=0.01)
         q.push(a)
         q.push(b)
-        q.resort(0)
+        q.resort(None)
         assert q.frames == [b, a]
 
     def test_fifo_queue_never_reorders(self):
@@ -60,7 +59,7 @@ class TestResort:
         q = FrameQueue(beta=0.01, ordered=False)
         for f in frames:
             q.push(f)
-        q.resort(0)
+        q.resort(None)
         assert q.frames == frames
 
     def test_in_service_head_stays_pinned(self):
@@ -70,7 +69,7 @@ class TestResort:
         q = FrameQueue(beta=0.01)
         q.push(partial)
         q.push(urgent)
-        q.resort(0)
+        q.resort(None)
         assert q.frames[0] is partial
 
     def test_resort_is_a_permutation(self):
@@ -79,7 +78,7 @@ class TestResort:
         q = FrameQueue(beta=0.01)
         for f in frames:
             q.push(f)
-        q.resort(0)
+        q.resort(None)
         assert sorted(q.frames, key=id) == sorted(frames, key=id)
 
 
@@ -182,22 +181,65 @@ class TestQueueMaintenance:
 
     def test_sweep_removes_expired_everywhere(self):
         live = make_frame(k=1, bound_ms=500.0)
-        dead1 = make_frame(k=2, bound_ms=-1.0)
-        dead2 = make_frame(k=3, bound_ms=-10.0)
+        dead1 = make_frame(k=2, bound_ms=1.0)
+        dead2 = make_frame(k=3, bound_ms=5.0)
         q = FrameQueue()
         for f in (dead1, live, dead2):
             q.push(f)
-        expired = q.sweep_expired(0)
+        expired = q.sweep_expired(10 * MS)
         assert expired == [dead1, dead2]
         assert q.frames == [live]
 
     def test_sweep_spares_in_service_frame(self):
-        dead = make_frame(k=1, bound_ms=-1.0, remaining=5)
+        dead = make_frame(k=1, bound_ms=1.0, remaining=5)
         dead.in_service = True
         q = FrameQueue()
         q.push(dead)
-        assert q.sweep_expired(0) == []
+        assert q.sweep_expired(10 * MS) == []
         assert q.frames == [dead]
+
+
+class TestExpiry:
+    def test_push_refuses_a_frame_past_its_bound(self):
+        q = FrameQueue()
+        assert not q.push(make_frame(bound_ms=-1.0))
+        assert q.push(make_frame(k=2, bound_ms=0.0))
+        assert [f.meta.id.k for f in q.frames] == [2]
+
+    def test_pop_expired_head_takes_only_an_expired_head(self):
+        dead = make_frame(k=1, bound_ms=5.0)
+        live = make_frame(k=2, bound_ms=500.0)
+        q = FrameQueue(ordered=False)
+        q.push(dead)
+        q.push(live)
+        assert q.pop_expired_head(5 * MS) is None
+        assert q.pop_expired_head(10 * MS) is dead
+        assert q.pop_expired_head(10 * MS) is None
+        assert q.frames == [live]
+
+    def test_pop_expired_head_spares_the_pinned_head(self):
+        dead = make_frame(k=1, bound_ms=5.0, remaining=5)
+        dead.in_service = True
+        q = FrameQueue()
+        q.push(dead)
+        assert q.pop_expired_head(10 * MS) is None
+        assert q.frames == [dead]
+
+    def test_queue_without_expiry_keeps_every_frame(self):
+        dead = make_frame(k=1, bound_ms=-1.0)
+        late = make_frame(k=2, bound_ms=5.0)
+        q = FrameQueue(ordered=False, expire=False)
+        assert q.push(dead) and q.push(late)
+        assert q.sweep_expired(10 * MS) == []
+        assert q.pop_expired_head(10 * MS) is None
+        assert q.frames == [dead, late]
+
+    def test_resort_leaves_bounds_alone_unless_revised(self):
+        frame = make_frame(ddl_ms=500.0, bound_ms=470.0)
+        q = FrameQueue(revised=False)
+        q.push(frame)
+        q.resort(120.0)
+        assert frame.bound_ms == 470.0
 
 
 GAMMAS = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
@@ -234,7 +276,7 @@ class TestStaticOrder:
     )
     def test_resort_matches_per_tick_weight_order(self, ticks, revised):
         beta = 0.01
-        q = FrameQueue(beta=beta, revised=revised)
+        q = FrameQueue(beta=beta, revised=revised, expire=False)
         v_prev = 20.0
         k = 0
         for n, (arrivals, v) in enumerate(ticks):
@@ -243,10 +285,8 @@ class TestStaticOrder:
                 q.push(make_frame(c=c, k=k, gamma=gamma, ddl_ms=float(ddl),
                                   bound_ms=ddl - v_prev, arrival_us=n * TICK_US + offset))
             now_us = (n + 1) * TICK_US
-            if revised:
-                revise_bounds(q.frames, v)
             v_prev = v
-            q.resort(now_us)
+            q.resort(v)
             for a, b in zip(q.frames, q.frames[1:]):
                 if exact_rank(a, revised, beta) == exact_rank(b, revised, beta):
                     if a.gamma == b.gamma:
@@ -258,23 +298,20 @@ class TestStaticOrder:
         ddl=st.integers(500, 3000),
         arrival_us=st.integers(0, 10**8),
         shifts=st.lists(st.integers(0, 499), min_size=2, max_size=5, unique=True),
-        now_us=st.integers(0, 10**9),
         v=st.floats(-50.0, 200.0),
     )
     # per-tick float weights put frame 2 first here
-    @example(ddl=1350, arrival_us=41938956, shifts=[0, 399], now_us=44040388,
-             v=86.19326635270949)
+    @example(ddl=1350, arrival_us=41938956, shifts=[0, 399], v=86.19326635270949)
     # an instant summed in float ms puts frame 2 first here
-    @example(ddl=2693, arrival_us=4062551, shifts=[460, 0], now_us=0, v=0.0)
+    @example(ddl=2693, arrival_us=4062551, shifts=[460, 0], v=0.0)
     def test_ties_on_deadline_plus_arrival_break_by_frame_id(
-            self, ddl, arrival_us, shifts, now_us, v):
+            self, ddl, arrival_us, shifts, v):
         # each frame trades j ms of deadline for j ms of later arrival
-        q = FrameQueue(beta=0.01, revised=True)
+        q = FrameQueue(beta=0.01, revised=True, expire=False)
         for k, j in sorted(enumerate(shifts, start=1), key=lambda kj: -kj[1]):
             q.push(make_frame(k=k, gamma=0.5, ddl_ms=float(ddl - j),
                               bound_ms=ddl - j - 20.0, arrival_us=arrival_us + j * MS))
-        revise_bounds(q.frames, v)
-        q.resort(now_us)
+        q.resort(v)
         assert [f.meta.id.k for f in q.frames] == list(range(1, len(shifts) + 1))
 
     def test_arrivals_wait_at_the_tail_until_the_next_resort(self):
@@ -283,12 +320,12 @@ class TestStaticOrder:
         mid = make_frame(k=2, gamma=0.5, bound_ms=1000.0)
         q.push(low)
         q.push(mid)
-        q.resort(0)
+        q.resort(None)
         assert q.frames == [mid, low]
         top = make_frame(k=3, gamma=0.9, bound_ms=1000.0)
         high = make_frame(k=4, gamma=0.7, bound_ms=1000.0)
         q.push(top)
         q.push(high)
         assert q.frames == [mid, low, top, high]
-        q.resort(TICK_US)
+        q.resort(None)
         assert q.frames == [top, high, mid, low]
