@@ -22,13 +22,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from vrsched.cli import main as cli_main
+from vrsched.cli import ABLATION_POLICIES, COMPARISON_POLICIES, sweep_grids, write_sweep
+from vrsched.config import SimConfig, apply_overrides
 
 
-def run(args: list[str]) -> None:
-    code = cli_main(args)
-    if code != 0:
-        raise SystemExit(code)
+def families() -> list[tuple[str, SimConfig, list[float], list[str]]]:
+    """(directory, config, bandwidths, policies) of each experiment family."""
+    out = []
+    for regime in ("stable", "unstable"):
+        cfg = apply_overrides(SimConfig(), [f"regime={regime}"])
+        out.append((f"comparison_{regime}", cfg, [25.0, 30.0, 35.0], list(COMPARISON_POLICIES)))
+        out.append((f"ablation_{regime}", cfg, [25.0], list(ABLATION_POLICIES)))
+    # deadline-miss comparison: baselines as deployed schedulers that cannot
+    # parse frame metadata, so expired frames are forwarded, not discarded
+    out.append(("baselines_no_drop", apply_overrides(SimConfig(), ["proactive_drop=false"]),
+                [25.0], ["rr", "edf"]))
+    return out
 
 
 def main() -> None:
@@ -38,33 +47,21 @@ def main() -> None:
     parser.add_argument("--workers", type=int,
                         default=int(os.environ.get("VRSCHED_WORKERS", "1")))
     args = parser.parse_args()
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError as exc:
+        parser.error(f"--seeds: {exc}")
     out = Path(args.out)
     t0 = time.perf_counter()
 
-    for regime in ("stable", "unstable"):
-        run([
-            "sweep", "--preset", "comparison", "--seeds", args.seeds,
-            "--workers", str(args.workers),
-            "--override", f"regime={regime}",
-            "--out", str(out / f"comparison_{regime}"),
-        ])
-        run([
-            "sweep", "--preset", "ablation", "--bandwidths", "25",
-            "--seeds", args.seeds, "--workers", str(args.workers),
-            "--override", f"regime={regime}",
-            "--out", str(out / f"ablation_{regime}"),
-        ])
-
-    # deadline-miss comparison: baselines as deployed schedulers that cannot
-    # parse frame metadata, so expired frames are forwarded, not discarded
-    run([
-        "sweep", "--bandwidths", "25", "--policies", "rr,edf",
-        "--seeds", args.seeds, "--workers", str(args.workers),
-        "--override", "proactive_drop=false",
-        "--out", str(out / "baselines_no_drop"),
-    ])
+    # one run over every family, seed by seed, builds each trace once
+    fams = families()
+    results = sweep_grids([grid for _, *grid in fams], seeds, args.workers)
+    code = max(write_sweep(out / name, rows) for (name, *_), rows in zip(fams, results))
 
     print(f"done in {time.perf_counter() - t0:.0f}s -> {out}/")
+    if code:
+        raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -56,10 +56,10 @@ def parse_policy(tag: str) -> SchedulerPolicy:
     if tag in (PROPOSED, RR, EDF, NO_ORDER):
         return SchedulerPolicy(kind=tag)
     if tag.startswith("single-ts-"):
-        try:
-            ms = int(tag.rsplit("-", 1)[1])
-        except ValueError:
-            raise ValueError(f"unknown policy '{tag}'") from None
+        digits = tag[len("single-ts-"):]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"unknown policy '{tag}' (single-ts takes a period in whole ms)")
+        ms = int(digits)
         if ms <= 0:
             raise ValueError(f"single-ts period must be positive, got {ms} ms")
         return SchedulerPolicy(kind=SINGLE_TS, interval_s=ms / 1000.0)

@@ -90,26 +90,34 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def sweep_grid(cfg: SimConfig, bandwidths: list[float], policies: list[str],
-               seeds: list[int], workers: int = 1) -> list[dict]:
-    """Run the full grid; return per-cell summaries by bandwidth, policy, seed.
+def sweep_grids(grids: list[tuple[SimConfig, list[float], list[str]]],
+                seeds: list[int], workers: int = 1) -> list[list[dict]]:
+    """Run (config, bandwidths, policies) grids over the same seeds.
 
-    Cells run seed by seed, so each seed's traces are built once and shared
-    by its cells (see ``traffic.cached_trace``).
+    Cells run seed by seed across every grid, so each seed's traces are
+    built once and shared by its cells (see ``traffic.cached_trace``). Each
+    grid's per-cell summaries come back by bandwidth, policy, seed.
     """
-    cells = [
-        dataclasses.replace(cfg, bottleneck_mbps=b, policy=p, seed=s)
-        for s in seeds for b in bandwidths for p in policies
-    ]
-    for cell in cells:
+    cells = [(i, dataclasses.replace(cfg, bottleneck_mbps=b, policy=p, seed=s))
+             for s in seeds for i, (cfg, bandwidths, policies) in enumerate(grids)
+             for b in bandwidths for p in policies]
+    for _, cell in cells:
         cell.validate()
+    configs = [cell for _, cell in cells]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells))
+            results = list(pool.map(_run_cell, configs))
     else:
-        results = [_run_cell(c) for c in cells]
-    results.sort(key=lambda r: (r["bottleneck_mbps"], r["policy"], r["seed"]))
-    return results
+        results = [_run_cell(c) for c in configs]
+    return [sorted((r for (j, _), r in zip(cells, results) if j == i),
+                   key=lambda r: (r["bottleneck_mbps"], r["policy"], r["seed"]))
+            for i in range(len(grids))]
+
+
+def sweep_grid(cfg: SimConfig, bandwidths: list[float], policies: list[str],
+               seeds: list[int], workers: int = 1) -> list[dict]:
+    """Run one grid; see ``sweep_grids``."""
+    return sweep_grids([(cfg, bandwidths, policies)], seeds, workers)[0]
 
 
 def aggregate(results: list[dict]) -> list[dict]:
@@ -157,9 +165,11 @@ def cmd_sweep(args) -> int:
     workers = args.workers or _parse("VRSCHED_WORKERS",
                                      os.environ.get("VRSCHED_WORKERS", "1"), int)
 
-    results = sweep_grid(cfg, bandwidths, policies, seeds, workers)
-    out = Path(args.out)
+    return write_sweep(Path(args.out), sweep_grid(cfg, bandwidths, policies, seeds, workers))
 
+
+def write_sweep(out: Path, results: list[dict]) -> int:
+    """Write sweep.csv and aggregate.csv; exit code 1 on budget violations."""
     for name, header, records in (("sweep.csv", SWEEP_HEADER, results),
                                   ("aggregate.csv", AGGREGATE_HEADER, aggregate(results))):
         cols = header.split(",")

@@ -17,6 +17,7 @@ from typing import Any
 from .baselines import parse_policy
 from .traffic import MAX_CHUNK_BYTES, TraceParams
 from .video import US_PER_S
+from .wire import MAX_MS
 
 
 class ConfigError(Exception):
@@ -132,6 +133,11 @@ class SimConfig:
             raise ConfigError("jitter_mean_ms: must be nonnegative")
         if self.propagation_ms < 0 or self.server_delay_ms < 0 or self.ack_delay_ms < 0:
             raise ConfigError("propagation_ms/server_delay_ms/ack_delay_ms: must be nonnegative")
+        if self.server_delay_ms + self.propagation_ms + self.ack_delay_ms > MAX_MS:
+            raise ConfigError(f"server_delay_ms/propagation_ms/ack_delay_ms: the path "
+                              f"delay exceeds the wire's {MAX_MS} ms RTT field")
+        if self.jitter_mean_ms > MAX_MS:
+            raise ConfigError(f"jitter_mean_ms: exceeds the wire's {MAX_MS} ms RTT field")
         if self.bitrate_mbps_min <= 0 or self.bitrate_mbps_max < self.bitrate_mbps_min:
             raise ConfigError("bitrate_mbps_min/max: need 0 < min <= max")
         if self.delta_s <= 0 or self.sti_s <= 0:

@@ -10,15 +10,14 @@ frame by frame to the flow with the highest utility gain per granted rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .allocation import rate_for_target_delay
 from .frame_queue import QueuedFrame, split_sets
 
 
-@dataclass(frozen=True)
-class FlowStInput:
-    """Per-flow view handed to the short-timescale scheduler at a tick."""
+class FlowStInput(NamedTuple):
+    """Per-flow view handed to the short-timescale scheduler at a tick (one per flow)."""
 
     frames: Sequence[QueuedFrame]          # queue snapshot in service order
     base_rate_bps: float                   # long-timescale allocation

@@ -309,7 +309,7 @@ class Simulation:
             meta=meta,
             t_arrival_us=now_us,
             ddl_ms=float(opt.deadline_ms),
-            bound_ms=rt.tracker.bound_for(float(opt.deadline_ms)),
+            arrival_bound_ms=rt.tracker.bound_for(float(opt.deadline_ms)),
             remaining=meta.size,
         )
         if not rt.queue.push(frame):

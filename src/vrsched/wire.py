@@ -38,6 +38,8 @@ _PACK = struct.Struct(">BBBHBBHHB")
 MAX_CHUNK = 0xFFFF
 MAX_TILE = 0xFF
 MAX_GOP_POS = 0xFF
+# largest deadline or RTT the option can carry; larger values saturate
+MAX_MS = 0xFFFF
 
 
 class WireError(ValueError):
@@ -58,7 +60,7 @@ class MetadataOption(NamedTuple):
 
 def saturate_ms(value: float) -> int:
     """Clamp a millisecond value into the unsigned 16-bit wire range."""
-    return int(min(65535, max(0, round(value))))
+    return int(min(MAX_MS, max(0, round(value))))
 
 
 def encode(opt: MetadataOption) -> bytes:

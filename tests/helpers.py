@@ -19,7 +19,7 @@ def make_frame(
         meta=meta,
         t_arrival_us=arrival_us,
         ddl_ms=meta.deadline_ms,
-        bound_ms=bound_ms,
+        arrival_bound_ms=bound_ms,
         remaining=remaining if remaining is not None else size,
     )
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from vrsched.cli import aggregate, main, sweep_grid
+from vrsched.cli import aggregate, main, sweep_grid, sweep_grids
 from vrsched.config import SimConfig, apply_overrides, load_config, ConfigError
 from vrsched.video import TRACE_HEADER
 
@@ -149,6 +149,15 @@ class TestBadInput:
         _trace_case("tile_256.csv", 2),
         _trace_case("gop_pos_256.csv", 2),
         ({}, ["run", "--override", "bitrate_mbps_max=1e300"], {}, "bitrate_mbps_max"),
+        ({}, ["run", "--override", "policy=single-ts-x-5"], {}, "policy"),
+        ({}, ["run", "--override", "policy=single-ts-+5"], {}, "policy"),
+        ({}, ["run", "--override", "policy=single-ts-1e-9"], {}, "policy"),
+        ({}, ["run", "--override", "server_delay_ms=1e17"], {},
+         "server_delay_ms/propagation_ms/ack_delay_ms"),
+        ({}, ["run", "--override", "propagation_ms=1e300"], {},
+         "server_delay_ms/propagation_ms/ack_delay_ms"),
+        ({}, ["run", "--override", "jitter_mean_ms=1e300", "--override", "regime=unstable"],
+         {}, "jitter_mean_ms"),
     ], ids=["inf", "nan", "unknown-policy", "string-for-float", "float-for-int",
             "malformed-trace-file", "bad-bandwidth", "bad-seed-list", "bad-workers-env",
             "negative-seed", "odd-gop-size", "zero-chunk", "sub-us-short-interval",
@@ -156,7 +165,9 @@ class TestBadInput:
             "nan-deadline", "infinite-send-time", "negative-send-time",
             "decreasing-send-time", "repeated-frame-id", "huge-video", "video-past-chunk-65535",
             "256-tiles", "gop-of-256", "trace-chunk-70000", "trace-tile-256",
-            "trace-gop-position-256", "huge-bitrate"])
+            "trace-gop-position-256", "huge-bitrate", "single-ts-junk-before-period",
+            "single-ts-signed-period", "single-ts-float-period", "huge-server-delay",
+            "huge-propagation", "huge-jitter"])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, monkeypatch,
                                          extra, args, env, field):
         monkeypatch.chdir(tmp_path)
@@ -214,6 +225,14 @@ class TestSweep:
         cfg = SimConfig(**{**TINY, "video_s": 2.0})
         grid = ([5.0, 6.0], ["proposed", "rr"], [1, 2])
         assert sweep_grid(cfg, *grid, workers=2) == sweep_grid(cfg, *grid, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grids_run_together_match_each_grid_alone(self, workers):
+        cfg = SimConfig(**{**TINY, "video_s": 2.0})
+        no_drop = apply_overrides(cfg, ["proactive_drop=false"])
+        grids = [(cfg, [5.0, 6.0], ["proposed", "rr"]), (no_drop, [6.0], ["edf"])]
+        assert (sweep_grids(grids, [1, 2], workers)
+                == [sweep_grid(c, b, p, [1, 2]) for c, b, p in grids])
 
     def test_ablation_preset_policy_set(self, tmp_path):
         cfg = write_config(tmp_path, video_s=2.0)

@@ -1,7 +1,8 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import make_frame
 from vrsched.frame_queue import FrameQueue, split_sets, tolerable_time
@@ -329,3 +330,127 @@ class TestStaticOrder:
         assert q.frames == [mid, low, top, high]
         q.resort(None)
         assert q.frames == [top, high, mid, low]
+
+
+@dataclass
+class RefFrame:
+    """A frame of the linear reference: its bound is stored and rewritten."""
+
+    id: tuple
+    gamma: float
+    t_arrival_us: int
+    ddl_ms: float
+    bound_ms: float
+    in_service: bool = False
+    key: tuple = ()
+
+
+class LinearQueue:
+    """The queue without its heap, shared state or tail-only insert.
+
+    Every resort rewrites every bound and sorts the whole body; every sweep
+    scans every frame.
+    """
+
+    def __init__(self, beta, ordered, revised, expire):
+        self.beta, self.ordered, self.revised, self.expire = beta, ordered, revised, expire
+        self.frames = []
+
+    def push(self, f):
+        if self.expire and f.bound_ms < 0:
+            return False
+        bound = f.ddl_ms if self.revised else f.bound_ms
+        weight = f.gamma - self.beta * (bound * MS + f.t_arrival_us) / 1e6
+        f.key = (-weight, *f.id)
+        self.frames.append(f)
+        return True
+
+    def expired(self, f, now_us):
+        return not f.in_service and f.bound_ms - (now_us - f.t_arrival_us) / MS < 0
+
+    def pop_expired_head(self, now_us):
+        if self.expire and self.frames and self.expired(self.frames[0], now_us):
+            return self.frames.pop(0)
+        return None
+
+    def resort(self, v):
+        if self.revised and v is not None:
+            for f in self.frames:
+                f.bound_ms = f.ddl_ms - v
+        if self.ordered:
+            lo = 1 if self.frames and self.frames[0].in_service else 0
+            self.frames[lo:] = sorted(self.frames[lo:], key=lambda f: f.key)
+
+    def sweep_expired(self, now_us):
+        if not self.expire:
+            return []
+        dead = [f for f in self.frames if self.expired(f, now_us)]
+        self.frames = [f for f in self.frames if not self.expired(f, now_us)]
+        return dead
+
+
+def seen(frames):
+    return [((f.meta.id.c, f.meta.id.m, f.meta.id.k), f.bound_ms) for f in frames]
+
+
+def ref_seen(frames):
+    return [(f.id, f.bound_ms) for f in frames]
+
+
+# network states on a 1/1024 ms grid make exact ties and exact expiry
+# instants likely; arbitrary floats probe the rounding at the boundary
+STATES = st.one_of(st.integers(-50 * 1024, 200 * 1024).map(lambda i: i / 1024),
+                   st.floats(-50.0, 200.0))
+# arrivals come close together and outnumber the other operations, so
+# that several frames expire between two sweeps
+STEPS = st.integers(0, 200 * MS)
+OP_ARGS = {
+    "push": st.tuples(st.just("push"), st.sampled_from(GAMMAS), st.integers(0, 400),
+                      STATES, st.integers(0, 10 * MS), st.integers(1, 3)),
+    "resort": st.tuples(st.just("resort"), st.none() | STATES),
+    "pop_head": st.just(("pop_head",)),
+    "pin": st.just(("pin",)),
+    "pop_expired_head": st.tuples(st.just("pop_expired_head"), STEPS),
+    "sweep": st.tuples(st.just("sweep"), STEPS),
+}
+OPS = st.sampled_from(["push"] * 4 + list(OP_ARGS)[1:]).flatmap(OP_ARGS.__getitem__)
+
+
+class TestAgainstLinearReference:
+    @pytest.mark.parametrize("ordered", [True, False])
+    @pytest.mark.parametrize("revised", [True, False])
+    @pytest.mark.parametrize("expire", [True, False])
+    @settings(max_examples=150)
+    @given(ops=st.lists(OPS, min_size=10, max_size=60))
+    # a pinned, expired head at the top of the heap with expired frames behind it
+    @example(ops=[("push", 0.5, 10, 0.0, 0, 1), ("push", 0.5, 20, 0.0, 0, 1),
+                  ("push", 0.5, 30, 0.0, 0, 1), ("resort", 0.0), ("pin",),
+                  ("sweep", 25 * MS)])
+    def test_same_frames_bounds_and_drops_at_every_step(self, ops, ordered, revised, expire):
+        q = FrameQueue(beta=0.01, ordered=ordered, revised=revised, expire=expire)
+        ref = LinearQueue(0.01, ordered, revised, expire)
+        now_us = 0
+        for k, op in enumerate(ops, start=1):
+            name = op[0]
+            if name == "push":
+                _, gamma, ddl, v, step, c = op
+                now_us += step
+                frame = make_frame(c=c, k=k, gamma=gamma, ddl_ms=float(ddl),
+                                   bound_ms=ddl - v, arrival_us=now_us)
+                twin = RefFrame((c, 1, k), gamma, now_us, float(ddl), ddl - v)
+                assert q.push(frame) == ref.push(twin)
+            elif name == "resort":
+                q.resort(op[1])
+                ref.resort(op[1])
+            elif name == "pop_head" and q.frames:
+                assert seen([q.pop_head()]) == ref_seen([ref.frames.pop(0)])
+            elif name == "pin" and q.frames:
+                q.frames[0].in_service = ref.frames[0].in_service = True
+            elif name == "pop_expired_head":
+                now_us += op[1]
+                dead, ref_dead = q.pop_expired_head(now_us), ref.pop_expired_head(now_us)
+                assert seen([dead] if dead else []) == ref_seen([ref_dead] if ref_dead else [])
+            elif name == "sweep":
+                now_us += op[1]
+                assert seen(q.sweep_expired(now_us)) == ref_seen(ref.sweep_expired(now_us))
+            assert seen(q.frames) == ref_seen(ref.frames)
