@@ -17,7 +17,7 @@ from .frame_queue import QueuedFrame, split_sets
 
 
 class FlowStInput(NamedTuple):
-    """Per-flow view handed to the short-timescale scheduler at a tick (one per flow)."""
+    """Per-flow view handed to the short-timescale scheduler at a tick."""
 
     frames: Sequence[QueuedFrame]          # queue snapshot in service order
     base_rate_bps: float                   # long-timescale allocation
