@@ -15,15 +15,15 @@ or pass --workers to parallelize.
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from vrsched.cli import ABLATION_POLICIES, COMPARISON_POLICIES, sweep_grids, write_sweep
-from vrsched.config import SimConfig, apply_overrides
+from vrsched.cli import (ABLATION_POLICIES, COMPARISON_POLICIES, parse_list, sweep_grids,
+                         worker_count, write_sweep)
+from vrsched.config import ConfigError, SimConfig, apply_overrides
 
 
 def families() -> list[tuple[str, SimConfig, list[float], list[str]]]:
@@ -44,19 +44,19 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results")
     parser.add_argument("--seeds", default="1,2,3,4,5")
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("VRSCHED_WORKERS", "1")))
+    parser.add_argument("--workers", type=int, help="default: VRSCHED_WORKERS, else 1")
     args = parser.parse_args()
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
-    except ValueError as exc:
-        parser.error(f"--seeds: {exc}")
+        seeds = parse_list("seeds", args.seeds, int)
+        workers = worker_count(args.workers)
+    except ConfigError as exc:
+        parser.error(str(exc))
     out = Path(args.out)
     t0 = time.perf_counter()
 
     # one run over every family, seed by seed, builds each trace once
     fams = families()
-    results = sweep_grids([grid for _, *grid in fams], seeds, args.workers)
+    results = sweep_grids([grid for _, *grid in fams], seeds, workers)
     code = max(write_sweep(out / name, rows) for (name, *_), rows in zip(fams, results))
 
     print(f"done in {time.perf_counter() - t0:.0f}s -> {out}/")

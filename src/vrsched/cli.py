@@ -20,6 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Optional
 
 from .baselines import POLICY_TAGS
 from .config import ConfigError, SimConfig, apply_overrides, load_config
@@ -152,18 +153,36 @@ def _parse(name: str, raw: str, convert):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def parse_list(name: str, raw: str, convert) -> list:
+    """A comma-separated list; a bad item or an empty list raises ConfigError naming ``name``."""
+    values = [_parse(name, x, convert) for x in raw.split(",") if x]
+    if not values:
+        raise ConfigError(f"{name}: no values in {raw!r}")
+    return values
+
+
+def worker_count(workers: Optional[int]) -> int:
+    """The --workers value, else VRSCHED_WORKERS, else 1; below 1 raises ConfigError."""
+    name = "workers"
+    if workers is None:
+        name = "VRSCHED_WORKERS"
+        workers = _parse(name, os.environ.get(name, "1"), int)
+    if workers < 1:
+        raise ConfigError(f"{name}: {workers} workers; need at least 1")
+    return workers
+
+
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    bandwidths = [_parse("bandwidths", b, float) for b in args.bandwidths.split(",") if b]
-    seeds = [_parse("seeds", s, int) for s in args.seeds.split(",") if s]
+    bandwidths = parse_list("bandwidths", args.bandwidths, float)
+    seeds = parse_list("seeds", args.seeds, int)
     if args.preset == "ablation":
         policies = list(ABLATION_POLICIES)
     elif args.preset == "comparison":
         policies = list(COMPARISON_POLICIES)
     else:
-        policies = [p for p in args.policies.split(",") if p]
-    workers = args.workers or _parse("VRSCHED_WORKERS",
-                                     os.environ.get("VRSCHED_WORKERS", "1"), int)
+        policies = parse_list("policies", args.policies, str)
+    workers = worker_count(args.workers)
 
     return write_sweep(Path(args.out), sweep_grid(cfg, bandwidths, policies, seeds, workers))
 

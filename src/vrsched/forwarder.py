@@ -71,13 +71,15 @@ class DwrrForwarder:
         for i in range(n):
             flow = self._order[(self._cursor + i) % n]
             queue = queues[flow]
+            if not queue.frames:
+                continue
             dead = queue.pop_expired_head(now_us)
             if dead is not None:
                 self._cursor = (self._cursor + i) % n
                 return DropAction(flow, dead)
-            head = queue.head()
+            head = queue.frames[0]
             avail = int(self.deficit[flow])
-            if head is None or avail <= 0:
+            if avail <= 0:
                 continue
             sent = min(head.remaining, avail)
             head.remaining -= sent
@@ -112,12 +114,12 @@ class EdfForwarder:
         best_slack = 0.0
         for flow in self._order:
             queue = queues[flow]
+            if not queue.frames:
+                continue
             dead = queue.pop_expired_head(now_us)
             if dead is not None:
                 return DropAction(flow, dead)
-            head = queue.head()
-            if head is None:
-                continue
+            head = queue.frames[0]
             slack = tolerable_time(head, now_us)
             if best is None or slack < best_slack:
                 best, best_slack = flow, slack

@@ -43,6 +43,7 @@ class QueuedFrame:
     ddl_ms: float             # deadline as read off the wire
     arrival_bound_ms: float   # D at arrival
     remaining: int            # unsent bytes
+    send_idx: int             # position in its flow's trace, which is its send order
     in_service: bool = False  # partially transmitted; pinned at the head
     key: tuple = ()           # (-weight at t = 0, c, m, k): the queue's sort key; set by push
     net_state: Optional[list[float]] = None   # the queue's v cell, once joined

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -46,14 +46,6 @@ EV_STI = 6
 _JITTER_STREAM = 2
 
 
-class Event(NamedTuple):
-    time_us: int
-    kind: int
-    seq: int
-    flow: int
-    data: Any
-
-
 def inject_delay(t_send_us: int, config: SimConfig, rng: np.random.Generator) -> int:
     """Bottleneck arrival time for a frame sent at ``t_send_us``."""
     delay_ms = config.server_delay_ms
@@ -70,8 +62,7 @@ class _FlowRuntime:
     stats: ArrivalServiceStats
     jitter_rng: np.random.Generator
     next_send: int = 0
-    send_seq: dict = field(default_factory=dict)     # FrameId -> send index
-    latest_mark: Optional[tuple[float, int]] = None  # (rtt_ms, ref_seq)
+    latest_mark: Optional[tuple[float, int]] = None  # (rtt_ms, send index acked)
     last_arrival_us: Optional[int] = None
     current_rate_bps: float = 0.0
     v_prev_ms: Optional[float] = None
@@ -192,7 +183,7 @@ class Simulation:
         self.st_log: list[tuple] = []
         self.event_log: list[tuple] = []
 
-        self._heap: list[Event] = []
+        self._heap: list[tuple] = []   # (time_us, kind, seq, flow, data)
         self._seq = 0
         self._last_time = 0
         self.link_busy_until_us = 0
@@ -208,7 +199,7 @@ class Simulation:
 
     def _push(self, time_us: int, kind: int, flow: int, data: Any) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, Event(time_us, kind, self._seq, flow, data))
+        heapq.heappush(self._heap, (time_us, kind, self._seq, flow, data))
 
     def _frame_send_us(self, rt: _FlowRuntime, idx: int) -> int:
         return int(round(rt.trace.frames[idx].send_time_ms * US_PER_MS))
@@ -258,30 +249,21 @@ class Simulation:
     def _on_send(self, now_us: int, flow: int, idx: int) -> None:
         rt = self.flows[flow]
         meta = rt.trace.frames[idx]
-        seq = len(rt.send_seq)
-        rt.send_seq[meta.id] = seq
 
         rtt_ms, ref_offset = 0, 0
         if rt.latest_mark is not None:
-            mark_rtt, ref_seq = rt.latest_mark
-            offset = seq - ref_seq
+            mark_rtt, ref_idx = rt.latest_mark
+            offset = idx - ref_idx
             if 1 <= offset <= 255:
                 rtt_ms, ref_offset = mark_rtt, offset
-        opt = wire.MetadataOption(
-            vr_flag=True,
-            chunk=meta.id.c,
-            tile=meta.id.m,
-            gop_pos=meta.id.k,
-            deadline_ms=meta.deadline_ms,
-            rtt_ms=rtt_ms,
-            rtt_ref_offset=ref_offset,
-        )
-        packet = wire.encode(opt)
+        c, m, k = meta.id
+        packet = wire.encode(wire.MetadataOption(True, c, m, k, meta.deadline_ms,
+                                                 rtt_ms, ref_offset))
 
         rt.generated += 1
         rt.in_flight += 1
         arrival = inject_delay(now_us, self.config, rt.jitter_rng)
-        self._push(arrival, EV_ARRIVAL, flow, (meta, packet))
+        self._push(arrival, EV_ARRIVAL, flow, (meta, packet, idx))
 
         rt.next_send = idx + 1
         if rt.next_send < len(rt.trace.frames):
@@ -289,7 +271,7 @@ class Simulation:
 
     def _on_arrival(self, now_us: int, flow: int, data: tuple) -> None:
         rt = self.flows[flow]
-        meta, packet = data
+        meta, packet, idx = data
         rt.in_flight -= 1
         rt.arrived += 1
 
@@ -311,6 +293,7 @@ class Simulation:
             ddl_ms=float(opt.deadline_ms),
             arrival_bound_ms=rt.tracker.bound_for(float(opt.deadline_ms)),
             remaining=meta.size,
+            send_idx=idx,
         )
         if not rt.queue.push(frame):
             self._drop(now_us, flow, meta)
@@ -338,19 +321,18 @@ class Simulation:
             self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "fwd", q_ms))
 
         # the client acks each receipt; the ack carries the RTT reference
-        self._push(now_us + self.ack_lag_us, EV_ACK, flow, frame.meta.id)
+        self._push(now_us + self.ack_lag_us, EV_ACK, flow, frame.send_idx)
         self._kick(now_us)
 
     def _on_linkfree(self, now_us: int, flow: int, _data) -> None:
         self._kick(now_us)
 
-    def _on_ack(self, now_us: int, flow: int, frame_id) -> None:
+    def _on_ack(self, now_us: int, flow: int, idx: int) -> None:
         rt = self.flows[flow]
-        # _on_send recorded every frame, and frames are sent in trace order,
-        # so the send index recovers the frame
-        seq = rt.send_seq[frame_id]
-        rtt_ms = now_us / US_PER_MS - rt.trace.frames[seq].send_time_ms
-        rt.latest_mark = (rtt_ms, seq)
+        # frames are sent in trace order and trace ids never repeat, so the
+        # acked frame's trace index is its send index
+        rtt_ms = now_us / US_PER_MS - rt.trace.frames[idx].send_time_ms
+        rt.latest_mark = (rtt_ms, idx)
 
     # -- scheduler ticks --------------------------------------------------
 
@@ -496,11 +478,11 @@ class Simulation:
             EV_STI: self._on_sti,
         }
         while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.time_us < self._last_time:
+            time_us, kind, _, flow, data = heapq.heappop(self._heap)
+            if time_us < self._last_time:
                 raise AssertionError("event time went backwards")
-            self._last_time = ev.time_us
-            handlers[ev.kind](ev.time_us, ev.flow, ev.data)
+            self._last_time = time_us
+            handlers[kind](time_us, flow, data)
             if self.check_invariants:
                 self._check_conservation()
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .wire import MAX_CHUNK, MAX_GOP_POS, MAX_TILE
 
@@ -23,9 +23,11 @@ US_PER_MS = 1000
 US_PER_S = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
-class FrameId:
-    """Frame identity: chunk, tile, position in GoP encoding order (all 1-based)."""
+class FrameId(NamedTuple):
+    """Frame identity: chunk, tile, position in GoP encoding order (all 1-based).
+
+    A NamedTuple, so hashing, equality and (c, m, k) ordering run in C.
+    """
 
     c: int
     m: int

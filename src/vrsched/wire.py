@@ -69,44 +69,26 @@ def encode(opt: MetadataOption) -> bytes:
     Millisecond fields are saturated; identity fields out of range raise,
     since clamping an index would silently mislabel the frame.
     """
-    if not 0 <= opt.chunk <= MAX_CHUNK:
-        raise WireError(f"chunk index {opt.chunk} outside 0..{MAX_CHUNK}")
-    if not 0 <= opt.tile <= MAX_TILE:
-        raise WireError(f"tile index {opt.tile} outside 0..{MAX_TILE}")
-    if not 0 <= opt.gop_pos <= MAX_GOP_POS:
-        raise WireError(f"gop position {opt.gop_pos} outside 0..{MAX_GOP_POS}")
-    if not 0 <= opt.rtt_ref_offset <= 0xFF:
-        raise WireError(f"rtt reference offset {opt.rtt_ref_offset} outside 0..255")
-    return _PACK.pack(
-        OPTION_KIND,
-        OPTION_LEN,
-        1 if opt.vr_flag else 0,
-        opt.chunk,
-        opt.tile,
-        opt.gop_pos,
-        saturate_ms(opt.deadline_ms),
-        saturate_ms(opt.rtt_ms),
-        opt.rtt_ref_offset,
-    )
+    vr_flag, chunk, tile, gop_pos, deadline_ms, rtt_ms, ref = opt
+    if not 0 <= chunk <= MAX_CHUNK:
+        raise WireError(f"chunk index {chunk} outside 0..{MAX_CHUNK}")
+    if not 0 <= tile <= MAX_TILE:
+        raise WireError(f"tile index {tile} outside 0..{MAX_TILE}")
+    if not 0 <= gop_pos <= MAX_GOP_POS:
+        raise WireError(f"gop position {gop_pos} outside 0..{MAX_GOP_POS}")
+    if not 0 <= ref <= 0xFF:
+        raise WireError(f"rtt reference offset {ref} outside 0..255")
+    return _PACK.pack(OPTION_KIND, OPTION_LEN, 1 if vr_flag else 0, chunk, tile, gop_pos,
+                      saturate_ms(deadline_ms), saturate_ms(rtt_ms), ref)
 
 
 def decode(buf: bytes) -> MetadataOption:
     """Parse the 12-byte wire form; inverse of :func:`encode` on its image."""
     if len(buf) < OPTION_LEN:
         raise WireError(f"option needs {OPTION_LEN} bytes, got {len(buf)}")
-    kind, length, flags, chunk, tile, gop_pos, ddl, rtt, ref = _PACK.unpack(
-        buf[:OPTION_LEN]
-    )
+    kind, length, flags, chunk, tile, gop_pos, ddl, rtt, ref = _PACK.unpack_from(buf)
     if kind != OPTION_KIND:
         raise WireError(f"unexpected option kind 0x{kind:02X}")
     if length != OPTION_LEN:
         raise WireError(f"unexpected option length {length}")
-    return MetadataOption(
-        vr_flag=bool(flags & 1),
-        chunk=chunk,
-        tile=tile,
-        gop_pos=gop_pos,
-        deadline_ms=ddl,
-        rtt_ms=rtt,
-        rtt_ref_offset=ref,
-    )
+    return MetadataOption(bool(flags & 1), chunk, tile, gop_pos, ddl, rtt, ref)

@@ -21,6 +21,7 @@ def make_frame(
         ddl_ms=meta.deadline_ms,
         arrival_bound_ms=bound_ms,
         remaining=remaining if remaining is not None else size,
+        send_idx=0,
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from vrsched.cli import aggregate, main, sweep_grid, sweep_grids
 from vrsched.config import SimConfig, apply_overrides, load_config, ConfigError
 from vrsched.video import TRACE_HEADER
 
+REPRODUCE = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
 TINY = dict(n_flows=2, bitrate_mbps_min=2.0, bitrate_mbps_max=3.0,
             video_s=4.0, bottleneck_mbps=6.0)
 
@@ -158,6 +162,12 @@ class TestBadInput:
          "server_delay_ms/propagation_ms/ack_delay_ms"),
         ({}, ["run", "--override", "jitter_mean_ms=1e300", "--override", "regime=unstable"],
          {}, "jitter_mean_ms"),
+        ({}, ["sweep", "--workers", "0"], {}, "workers"),
+        ({}, ["sweep", "--workers", "-1"], {}, "workers"),
+        ({}, ["sweep"], {"VRSCHED_WORKERS": "0"}, "VRSCHED_WORKERS"),
+        ({}, ["sweep", "--seeds", ","], {}, "seeds"),
+        ({}, ["sweep", "--bandwidths", ","], {}, "bandwidths"),
+        ({}, ["sweep", "--policies", ","], {}, "policies"),
     ], ids=["inf", "nan", "unknown-policy", "string-for-float", "float-for-int",
             "malformed-trace-file", "bad-bandwidth", "bad-seed-list", "bad-workers-env",
             "negative-seed", "odd-gop-size", "zero-chunk", "sub-us-short-interval",
@@ -167,7 +177,9 @@ class TestBadInput:
             "256-tiles", "gop-of-256", "trace-chunk-70000", "trace-tile-256",
             "trace-gop-position-256", "huge-bitrate", "single-ts-junk-before-period",
             "single-ts-signed-period", "single-ts-float-period", "huge-server-delay",
-            "huge-propagation", "huge-jitter"])
+            "huge-propagation", "huge-jitter", "zero-workers", "negative-workers",
+            "zero-workers-env", "empty-seed-list", "empty-bandwidth-list",
+            "empty-policy-list"])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, monkeypatch,
                                          extra, args, env, field):
         monkeypatch.chdir(tmp_path)
@@ -179,6 +191,23 @@ class TestBadInput:
         argv = [args[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *args[1:]]
         assert main(argv) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,env,field", [
+        (["--seeds", "1"], {"VRSCHED_WORKERS": "abc"}, "VRSCHED_WORKERS"),
+        (["--seeds", "1"], {"VRSCHED_WORKERS": "0"}, "VRSCHED_WORKERS"),
+        (["--seeds", "1", "--workers", "0"], {}, "workers"),
+        (["--seeds", ","], {}, "seeds"),
+        (["--seeds", "1,a"], {}, "seeds"),
+    ], ids=["bad-workers-env", "zero-workers-env", "zero-workers", "empty-seed-list",
+            "bad-seed-list"])
+    def test_reproduce_script_exits_2_and_names_the_field(self, tmp_path, args, env, field):
+        proc = subprocess.run(
+            [sys.executable, str(REPRODUCE), "--out", str(tmp_path / "r"), *args],
+            env={**os.environ, **env}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert f"error: {field}:" in proc.stderr
+        assert not (tmp_path / "r").exists()
 
     def test_gen_trace_rejects_a_flow_outside_the_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import weakref
@@ -8,6 +9,8 @@ import pytest
 
 from vrsched.config import SimConfig
 from vrsched.sim import Simulation, inject_delay, run
+from vrsched.traffic import generate_trace
+from vrsched.video import write_trace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -175,16 +178,79 @@ POLICY_DIGESTS = {
 }
 
 
+# SHA-256 of repr((event_log, lt_log, st_log)) of the same runs with
+# log_events=True: the order and timing of every drop and forward, and
+# every LT and ST decision, so a reordering of per-frame events that
+# leaves the summary and metrics unchanged still shows.
+LOG_DIGESTS = {
+    ("edf", "stable", False): "5b842633984365e7eb682e059d714e9072fc098a9613aa07c5d4f053ca98af99",
+    ("edf", "stable", True): "98e174973ea1beba942daed50167bb0864f021d43d0db7cc0cb8993b1aaa1299",
+    ("edf", "unstable", True): "374b4fad95ddf8516239ffe4546a36d8754e48f865fb80a5d511f38fb82188ed",
+    ("no-order", "stable", False): "1049cce27acd80874a36e45964654a235be3edbce4b35ee41f3df581894a7913",
+    ("no-order", "stable", True): "b91ff2a382d3353fe3a0f3ae91beab3e2005a56983795fc2b8325e2e575b6de6",
+    ("no-order", "unstable", False): "d49fa46fec89cd431a6656f0c3296e392a617edd36293efa91bd6d8a0a8ad22a",
+    ("no-order", "unstable", True): "8c8287550ce30de65e0217fbd0b385f9c7359250c7ec5d231a0c2e2c69c9f61b",
+    ("proposed", "stable", False): "43009d8067cc8c5fbc18baf623efefce68564e052bae83dad5b524844f68a15a",
+    ("proposed", "stable", True): "4dd0c6375640fc1e074d4e7cc522e841a4a8453db471998cbad57dc61b6ceb81",
+    ("proposed", "unstable", False): "20ffb91400dc142b0220d4ed2c5f741f81c96ddb491609412cc9423f069ff711",
+    ("proposed", "unstable", True): "d88f5e76eeba49bdb49906003234f33a79cd0fc83ed6cfaa76268dda1ddc923d",
+    ("rr", "stable", False): "1034b4067f2090abedbfb44cf02e914603ec438fc873ef8865da173a762e1d3d",
+    ("rr", "stable", True): "b08afb9ece81248d672ed75a14410ae205fc5bbba0c895fff586a6478b686b2d",
+    ("rr", "unstable", True): "0521375ddbb2611fa9726f6ed256b72cea8cacd814d0ef29f4256d6ad86c0900",
+    ("single-ts-1000", "stable", False): "48f8a0d25fb3157120689070c3ae6a8a5a91a9bca8dcef9f0008e0841afe249e",
+    ("single-ts-1000", "stable", True): "32aaf6bfa80cf1d02e602793000b0c8b34395963794b3ed8312b2ca1aaa29436",
+    ("single-ts-1000", "unstable", False): "06f4fe5a941731d65cbc7265bf0db2b73f3c78a9c8da849c23990193a74f22af",
+    ("single-ts-1000", "unstable", True): "0ad1fd481a96fd366197ec9295f2469fcb2e217c3e3a05595c86ae31d7771136",
+    ("single-ts-50", "stable", False): "5f2dd75b011701643a900c40955ca3b8fb9f39e0d76a0853cd77e0d6628c42cf",
+    ("single-ts-50", "stable", True): "19ffe326d8ae6f6f7e6e511c0a2fbd15f527452102e95f41f1874f42cf4b9b2e",
+    ("single-ts-50", "unstable", False): "1625eaeb64d7ad713247eb8ac87e021f705b816e743198e9e2f8695b70bd625a",
+    ("single-ts-50", "unstable", True): "1ba4ebd889ec644358ed357472ea805c34cc471acd55f63a3c5b97437d76dd16",
+    ("single-ts-500", "stable", True): "4feae0a3d7f6e213afd56200725448fb322bd828d1452a758931b4af6fb79405",
+    ("single-ts-500", "unstable", True): "ffadebf9c79dfd1aecf72a67f5ab0ba8b7084ce47c6d9d67275481d4e3ce474b",
+}
+
+
+def _digest_config(policy, regime, proactive_drop):
+    return SimConfig(n_flows=4, video_s=6.0, bottleneck_mbps=10.0, policy=policy,
+                     regime=regime, proactive_drop=proactive_drop)
+
+
 class TestPolicyDigests:
     @pytest.mark.parametrize("policy,regime,proactive_drop", sorted(POLICY_DIGESTS))
     def test_outputs_match_pinned_digest(self, policy, regime, proactive_drop):
-        cfg = SimConfig(n_flows=4, video_s=6.0, bottleneck_mbps=10.0, policy=policy,
-                        regime=regime, proactive_drop=proactive_drop)
-        result = run(cfg)
+        result = run(_digest_config(policy, regime, proactive_drop))
         digest = hashlib.sha256(
             (result.summary_csv() + result.metrics_csv()).encode()
         ).hexdigest()
         assert digest == POLICY_DIGESTS[(policy, regime, proactive_drop)]
+
+    @pytest.mark.parametrize("policy,regime,proactive_drop", sorted(LOG_DIGESTS))
+    def test_logs_match_pinned_digest(self, policy, regime, proactive_drop):
+        result = run(_digest_config(policy, regime, proactive_drop), log_events=True)
+        logs = repr((result.event_log, result.lt_log, result.st_log))
+        digest = hashlib.sha256(logs.encode()).hexdigest()
+        assert digest == LOG_DIGESTS[(policy, regime, proactive_drop)]
+
+
+class TestTraceFileRoundTrip:
+    # The simulator takes a frame's send index from its position in the
+    # trace; a trace written to files and read back must run the same.
+    @pytest.mark.parametrize("regime", ["stable", "unstable"])
+    @pytest.mark.parametrize("policy", ["proposed", "rr", "edf", "single-ts-50"])
+    def test_file_traces_run_like_generated_ones(self, tmp_path, policy, regime):
+        cfg = _digest_config(policy, regime, True)
+        paths = []
+        for f in range(cfg.n_flows):
+            paths.append(str(tmp_path / f"flow{f}.csv"))
+            write_trace(generate_trace(cfg.trace_params(f), cfg.seed), paths[-1])
+        generated = run(cfg, log_events=True)
+        from_files = run(dataclasses.replace(cfg, trace_files=tuple(paths)), log_events=True)
+        assert generated.event_log
+        assert from_files.summary_csv() == generated.summary_csv()
+        assert from_files.metrics_csv() == generated.metrics_csv()
+        assert from_files.event_log == generated.event_log
+        assert from_files.lt_log == generated.lt_log
+        assert from_files.st_log == generated.st_log
 
 
 class TestLifetime:

@@ -136,6 +136,27 @@ class TestFrameMeta:
         assert FrameId(1, 2, 3) < FrameId(1, 2, 4) < FrameId(1, 3, 1) < FrameId(2, 1, 1)
 
 
+class TestFrameId:
+    def test_sorts_by_chunk_tile_position(self):
+        assert sorted([FrameId(2, 1, 1), FrameId(1, 3, 1), FrameId(1, 2, 4)]) == [
+            FrameId(1, 2, 4), FrameId(1, 3, 1), FrameId(2, 1, 1)]
+
+    def test_equal_ids_hash_alike_and_key_a_dict(self):
+        a, b = FrameId(3, 2, 1), FrameId(c=3, m=2, k=1)
+        assert a == b and hash(a) == hash(b)
+        assert a != FrameId(3, 2, 2)
+        seen = {a: "first"}
+        seen[b] = "second"
+        assert seen == {FrameId(3, 2, 1): "second"}
+
+    def test_fields_are_named_and_read_only(self):
+        fid = FrameId(4, 5, 6)
+        assert (fid.c, fid.m, fid.k) == (4, 5, 6)
+        with pytest.raises(AttributeError):
+            fid.c = 7
+        assert fid == FrameId(4, 5, 6)
+
+
 class TestTraceFile:
     def _trace(self):
         frames = tuple(
