@@ -154,10 +154,15 @@ def _parse(name: str, raw: str, convert):
 
 
 def parse_list(name: str, raw: str, convert) -> list:
-    """A comma-separated list; a bad item or an empty list raises ConfigError naming ``name``."""
+    """A comma-separated list; a bad item, a repeat or no item raises ConfigError naming ``name``.
+
+    Items are compared after conversion, so ``10,10.0`` is a repeat.
+    """
     values = [_parse(name, x, convert) for x in raw.split(",") if x]
     if not values:
         raise ConfigError(f"{name}: no values in {raw!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{name}: repeated value in {raw!r}")
     return values
 
 

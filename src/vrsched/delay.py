@@ -20,7 +20,7 @@ from .video import FrameId
 DEFAULT_ALPHA = 0.125  # classic RTT smoothing weight
 
 
-@dataclass
+@dataclass(slots=True)
 class EwmaStat:
     """Exponentially weighted mean and variance of a nonnegative series."""
 
@@ -29,7 +29,7 @@ class EwmaStat:
     variance: float = 0.0
     initialized: bool = False
 
-    def update(self, sample: float) -> "EwmaStat":
+    def update(self, sample: float) -> None:
         if sample < 0:
             raise ValueError(f"negative sample {sample}")
         if not self.initialized:
@@ -40,7 +40,6 @@ class EwmaStat:
             delta = sample - self.mean
             self.mean += self.alpha * delta
             self.variance = (1.0 - self.alpha) * (self.variance + self.alpha * delta * delta)
-        return self
 
     @property
     def std(self) -> float:
@@ -53,7 +52,9 @@ class FlowDelayState:
 
     Keeps the paired RTT / queuing-delay EWMAs, the send-order history used
     to resolve one-byte backward RTT references, and a bounded record of
-    realized queuing delays keyed by frame id.
+    realized queuing delays keyed by frame id. :meth:`on_arrival` finds an
+    arriving frame's place in the history once, resolves its mark from
+    there and inserts the frame there.
 
     References count frames backward in send order. Arrivals can be
     reordered by path jitter, so the history is kept sorted by the send key
@@ -79,27 +80,23 @@ class FlowDelayState:
         self._send_ids: list[FrameId] = []
         self._recorded: OrderedDict[FrameId, float] = OrderedDict()
 
-    def resolve_ref(self, offset: int, chunk: int, ddl_ms: float) -> Optional[FrameId]:
-        """Frame id ``offset`` send positions before the arriving frame.
+    def on_arrival(self, frame_id: FrameId, chunk: int, ddl_ms: float,
+                   rtt_ms: float, ref_offset: int) -> None:
+        """Apply an arriving frame's RTT mark, then record the frame in send order.
 
-        ``chunk``/``ddl_ms`` locate the arriving frame in send order; it
-        must not have been recorded yet.
+        A positive ``ref_offset`` counts back from the frame's place; a
+        reference before the kept history counts as an unmatched mark.
         """
-        if offset <= 0:
-            return None
-        pos = bisect.bisect_left(self._send_keys, (chunk, -ddl_ms))
-        idx = pos - offset
-        if idx < 0:
-            return None
-        return self._send_ids[idx]
-
-    def record_arrival(self, frame_id: FrameId, chunk: int, ddl_ms: float) -> None:
         key = (chunk, -ddl_ms)
-        pos = bisect.bisect_left(self._send_keys, key)
-        self._send_keys.insert(pos, key)
-        self._send_ids.insert(pos, frame_id)
-        if len(self._send_ids) > self.history_limit:
-            del self._send_keys[0], self._send_ids[0]
+        keys, ids = self._send_keys, self._send_ids
+        pos = bisect.bisect_left(keys, key)
+        if ref_offset > 0:
+            idx = pos - ref_offset
+            self.apply_mark(rtt_ms, ids[idx] if idx >= 0 else None)
+        keys.insert(pos, key)
+        ids.insert(pos, frame_id)
+        if len(ids) > self.history_limit:
+            del keys[0], ids[0]
 
     def record_departure(self, frame_id: FrameId, q_ms: float) -> None:
         self._recorded[frame_id] = q_ms

@@ -13,15 +13,13 @@ head frame with the least deadline slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .frame_queue import FrameQueue, QueuedFrame, tolerable_time
 
 
-@dataclass(frozen=True)
-class SendAction:
-    """One committed transmission slice."""
+class SendAction(NamedTuple):
+    """One committed transmission slice; a NamedTuple, since one is built per slice."""
 
     flow: int
     frame: QueuedFrame
@@ -29,8 +27,7 @@ class SendAction:
     completed: bool
 
 
-@dataclass(frozen=True)
-class DropAction:
+class DropAction(NamedTuple):
     flow: int
     frame: QueuedFrame
 

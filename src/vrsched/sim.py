@@ -15,6 +15,7 @@ bit-reproducible for a given (config, seed).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,11 +47,15 @@ EV_STI = 6
 _JITTER_STREAM = 2
 
 
-def inject_delay(t_send_us: int, config: SimConfig, rng: np.random.Generator) -> int:
-    """Bottleneck arrival time for a frame sent at ``t_send_us``."""
-    delay_ms = config.server_delay_ms
-    if config.regime == "unstable" and config.jitter_mean_ms > 0:
-        delay_ms += rng.exponential(config.jitter_mean_ms)
+def inject_delay(t_send_us: int, server_delay_ms: float, jitter_mean_ms: float,
+                 rng: np.random.Generator) -> int:
+    """Bottleneck arrival time for a frame sent at ``t_send_us``.
+
+    ``jitter_mean_ms`` is 0.0 on a stable link; ``rng`` is drawn only when it is positive.
+    """
+    delay_ms = server_delay_ms
+    if jitter_mean_ms > 0:
+        delay_ms += rng.exponential(jitter_mean_ms)
     return t_send_us + int(round(delay_ms * US_PER_MS))
 
 
@@ -141,6 +146,8 @@ class Simulation:
         self.tick_us = int(round(self.tick_s * US_PER_S))
         self.d_min_s = config.d_min_ms / 1000.0
         self.ack_lag_us = int(round((config.propagation_ms + config.ack_delay_ms) * US_PER_MS))
+        self.server_delay_ms = config.server_delay_ms
+        self.jitter_mean_ms = config.jitter_mean_ms if config.regime == "unstable" else 0.0
 
         self.flows: dict[int, _FlowRuntime] = {}
         for f in range(config.n_flows):
@@ -184,7 +191,7 @@ class Simulation:
         self.event_log: list[tuple] = []
 
         self._heap: list[tuple] = []   # (time_us, kind, seq, flow, data)
-        self._seq = 0
+        self._seq = itertools.count(1)
         self._last_time = 0
         self.link_busy_until_us = 0
 
@@ -198,8 +205,7 @@ class Simulation:
     # -- helpers ----------------------------------------------------------
 
     def _push(self, time_us: int, kind: int, flow: int, data: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time_us, kind, self._seq, flow, data))
+        heapq.heappush(self._heap, (time_us, kind, next(self._seq), flow, data))
 
     def _frame_send_us(self, rt: _FlowRuntime, idx: int) -> int:
         return int(round(rt.trace.frames[idx].send_time_ms * US_PER_MS))
@@ -262,7 +268,8 @@ class Simulation:
 
         rt.generated += 1
         rt.in_flight += 1
-        arrival = inject_delay(now_us, self.config, rt.jitter_rng)
+        arrival = inject_delay(now_us, self.server_delay_ms, self.jitter_mean_ms,
+                               rt.jitter_rng)
         self._push(arrival, EV_ARRIVAL, flow, (meta, packet, idx))
 
         rt.next_send = idx + 1
@@ -275,26 +282,18 @@ class Simulation:
         rt.in_flight -= 1
         rt.arrived += 1
 
-        opt = wire.decode(packet)
-        if opt.rtt_ref_offset > 0:
-            ref = rt.tracker.resolve_ref(opt.rtt_ref_offset, opt.chunk,
-                                         float(opt.deadline_ms))
-            rt.tracker.apply_mark(float(opt.rtt_ms), ref)
-        rt.tracker.record_arrival(meta.id, opt.chunk, float(opt.deadline_ms))
+        _, chunk, _, _, ddl, rtt, ref_offset = wire.decode(packet)
+        ddl_ms = float(ddl)
+        tracker = rt.tracker
+        tracker.on_arrival(meta.id, chunk, ddl_ms, float(rtt), ref_offset)
 
         if rt.last_arrival_us is not None:
             rt.stats.inter_arrival.update((now_us - rt.last_arrival_us) / US_PER_S)
         rt.last_arrival_us = now_us
         rt.stats.frame_size.update(meta.size)
 
-        frame = QueuedFrame(
-            meta=meta,
-            t_arrival_us=now_us,
-            ddl_ms=float(opt.deadline_ms),
-            arrival_bound_ms=rt.tracker.bound_for(float(opt.deadline_ms)),
-            remaining=meta.size,
-            send_idx=idx,
-        )
+        # meta, t_arrival_us, ddl_ms, arrival_bound_ms, remaining, send_idx
+        frame = QueuedFrame(meta, now_us, ddl_ms, tracker.bound_for(ddl_ms), meta.size, idx)
         if not rt.queue.push(frame):
             self._drop(now_us, flow, meta)
             return
@@ -453,8 +452,7 @@ class Simulation:
             if isinstance(act, DropAction):
                 self._drop(now_us, act.flow, act.frame.meta)
                 continue
-            self._commit_to_link(now_us, act.flow, act.frame, act.bytes_sent,
-                                 act.completed)
+            self._commit_to_link(now_us, *act)   # flow, frame, bytes_sent, completed
 
     # -- main loop ---------------------------------------------------------
 

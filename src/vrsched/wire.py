@@ -59,8 +59,9 @@ class MetadataOption(NamedTuple):
 
 
 def saturate_ms(value: float) -> int:
-    """Clamp a millisecond value into the unsigned 16-bit wire range."""
-    return int(min(MAX_MS, max(0, round(value))))
+    """Round half to even, then clamp into the unsigned 16-bit wire range; NaN and inf raise."""
+    ms = round(value)
+    return ms if 0 <= ms <= MAX_MS else (0 if ms < 0 else MAX_MS)
 
 
 def encode(opt: MetadataOption) -> bytes:

@@ -1,6 +1,10 @@
 """Shared builders for scheduler-level tests."""
 
+import bisect
+import copy
+
 from vrsched.allocation import ArrivalServiceStats
+from vrsched.delay import FlowDelayState
 from vrsched.forwarder import SendAction
 from vrsched.frame_queue import QueuedFrame
 from vrsched.video import FrameId, FrameMeta
@@ -46,3 +50,58 @@ def make_stats(mu_a_s=0.04, c_a=1.0, c_s=1.0, mu_s_s=0.03,
     stats.frame_size.mean = s_ave
     stats.frame_size.initialized = True
     return stats
+
+
+class ThreeCallDelayState(FlowDelayState):
+    """The arrival path as three calls: resolve the reference, apply the mark, record.
+
+    The reference for :meth:`FlowDelayState.on_arrival`, which does the
+    same work with one bisect.
+    """
+
+    def resolve_ref(self, offset, chunk, ddl_ms):
+        if offset <= 0:
+            return None
+        pos = bisect.bisect_left(self._send_keys, (chunk, -ddl_ms))
+        idx = pos - offset
+        if idx < 0:
+            return None
+        return self._send_ids[idx]
+
+    def record_arrival(self, frame_id, chunk, ddl_ms):
+        key = (chunk, -ddl_ms)
+        pos = bisect.bisect_left(self._send_keys, key)
+        self._send_keys.insert(pos, key)
+        self._send_ids.insert(pos, frame_id)
+        if len(self._send_ids) > self.history_limit:
+            del self._send_keys[0], self._send_ids[0]
+
+    def on_arrival(self, frame_id, chunk, ddl_ms, rtt_ms, ref_offset):
+        if ref_offset > 0:
+            self.apply_mark(rtt_ms, self.resolve_ref(ref_offset, chunk, ddl_ms))
+        self.record_arrival(frame_id, chunk, ddl_ms)
+
+
+def spy_marks(tracker):
+    """Record (ref, matched) for each mark ``tracker`` applies; returns the list."""
+    seen = []
+    apply_mark = tracker.apply_mark
+
+    def spy(rtt_ms, ref):
+        matched = apply_mark(rtt_ms, ref)
+        seen.append((ref, matched))
+        return matched
+
+    tracker.apply_mark = spy
+    return seen
+
+
+def mark_ref(tracker, offset, chunk, ddl_ms):
+    """The frame a mark with ``offset`` on an arrival at (chunk, ddl_ms) refers to.
+
+    Asks a copy, so ``tracker`` is left as it was; None when no mark is applied.
+    """
+    probe = copy.deepcopy(tracker)
+    seen = spy_marks(probe)
+    probe.on_arrival(FrameId(0xFFFF, 0xFF, 0xFF), chunk, ddl_ms, 1.0, offset)
+    return seen[0][0] if seen else None

@@ -168,6 +168,9 @@ class TestBadInput:
         ({}, ["sweep", "--seeds", ","], {}, "seeds"),
         ({}, ["sweep", "--bandwidths", ","], {}, "bandwidths"),
         ({}, ["sweep", "--policies", ","], {}, "policies"),
+        ({}, ["sweep", "--seeds", "1,1"], {}, "seeds"),
+        ({}, ["sweep", "--bandwidths", "10,10.0"], {}, "bandwidths"),
+        ({}, ["sweep", "--policies", "rr,proposed,rr"], {}, "policies"),
     ], ids=["inf", "nan", "unknown-policy", "string-for-float", "float-for-int",
             "malformed-trace-file", "bad-bandwidth", "bad-seed-list", "bad-workers-env",
             "negative-seed", "odd-gop-size", "zero-chunk", "sub-us-short-interval",
@@ -179,7 +182,7 @@ class TestBadInput:
             "single-ts-signed-period", "single-ts-float-period", "huge-server-delay",
             "huge-propagation", "huge-jitter", "zero-workers", "negative-workers",
             "zero-workers-env", "empty-seed-list", "empty-bandwidth-list",
-            "empty-policy-list"])
+            "empty-policy-list", "repeated-seed", "repeated-bandwidth", "repeated-policy"])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, monkeypatch,
                                          extra, args, env, field):
         monkeypatch.chdir(tmp_path)
@@ -198,8 +201,9 @@ class TestBadInput:
         (["--seeds", "1", "--workers", "0"], {}, "workers"),
         (["--seeds", ","], {}, "seeds"),
         (["--seeds", "1,a"], {}, "seeds"),
+        (["--seeds", "2,1,2"], {}, "seeds"),
     ], ids=["bad-workers-env", "zero-workers-env", "zero-workers", "empty-seed-list",
-            "bad-seed-list"])
+            "bad-seed-list", "repeated-seed"])
     def test_reproduce_script_exits_2_and_names_the_field(self, tmp_path, args, env, field):
         proc = subprocess.run(
             [sys.executable, str(REPRODUCE), "--out", str(tmp_path / "r"), *args],

@@ -1,7 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
-from helpers import make_frame
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from helpers import ThreeCallDelayState, make_frame, mark_ref, spy_marks
 from vrsched.delay import EwmaStat, FlowDelayState
 from vrsched.frame_queue import FrameQueue
 from vrsched.video import FrameId
@@ -118,20 +120,22 @@ class TestReviseBounds:
 class TestFlowDelayState:
     def test_mark_matching_updates_network_state(self):
         tr = FlowDelayState()
+        marks = spy_marks(tr)
         a, b = FrameId(1, 1, 1), FrameId(1, 1, 2)
-        tr.record_arrival(a, 1, 2000.0)
-        tr.record_arrival(b, 1, 1967.0)
+        tr.on_arrival(a, 1, 2000.0, 0.0, 0)
+        tr.on_arrival(b, 1, 1967.0, 0.0, 0)
         tr.record_departure(a, 12.0)
         # a mark arriving on frame (1,1,3), two sends after a
-        ref = tr.resolve_ref(2, 1, 1933.0)
+        tr.on_arrival(FrameId(1, 1, 3), 1, 1933.0, 42.0, 2)
+        [(ref, matched)] = marks
         assert ref == a
-        assert tr.apply_mark(42.0, ref)
+        assert matched
         assert tr.net_state_ms == pytest.approx(30.0)
         assert tr.matched_marks == 1
 
     def test_unmatched_marks_are_counted_not_applied(self):
         tr = FlowDelayState()
-        tr.record_arrival(FrameId(1, 1, 1), 1, 2000.0)
+        tr.on_arrival(FrameId(1, 1, 1), 1, 2000.0, 0.0, 0)
         assert not tr.apply_mark(42.0, FrameId(9, 9, 9))
         assert not tr.apply_mark(42.0, None)
         assert tr.unmatched_marks == 2
@@ -140,18 +144,18 @@ class TestFlowDelayState:
     def test_reordered_arrivals_resolve_in_send_order(self):
         tr = FlowDelayState()
         first, second, third = FrameId(1, 1, 1), FrameId(1, 1, 2), FrameId(1, 1, 3)
-        tr.record_arrival(first, 1, 2000.0)
-        tr.record_arrival(third, 1, 1933.0)   # overtook the second frame
-        tr.record_arrival(second, 1, 1967.0)  # straggler
-        assert tr.resolve_ref(3, 1, 1900.0) == first
-        assert tr.resolve_ref(2, 1, 1900.0) == second
-        assert tr.resolve_ref(1, 1, 1900.0) == third
+        tr.on_arrival(first, 1, 2000.0, 0.0, 0)
+        tr.on_arrival(third, 1, 1933.0, 0.0, 0)   # overtook the second frame
+        tr.on_arrival(second, 1, 1967.0, 0.0, 0)  # straggler
+        assert mark_ref(tr, 3, 1, 1900.0) == first
+        assert mark_ref(tr, 2, 1, 1900.0) == second
+        assert mark_ref(tr, 1, 1, 1900.0) == third
 
     def test_resolve_out_of_range(self):
         tr = FlowDelayState()
-        tr.record_arrival(FrameId(1, 1, 1), 1, 2000.0)
-        assert tr.resolve_ref(0, 1, 1967.0) is None
-        assert tr.resolve_ref(2, 1, 1967.0) is None
+        tr.on_arrival(FrameId(1, 1, 1), 1, 2000.0, 0.0, 0)
+        assert mark_ref(tr, 0, 1, 1967.0) is None
+        assert mark_ref(tr, 2, 1, 1967.0) is None
 
     def test_departure_record_bounded(self):
         tr = FlowDelayState(history_limit=4)
@@ -162,3 +166,45 @@ class TestFlowDelayState:
     def test_bound_for_uses_prior_until_initialized(self):
         tr = FlowDelayState(prior_external_ms=20.0)
         assert tr.bound_for(100.0) == pytest.approx(80.0)
+
+
+def tracker_state(tr):
+    return (tr.matched_marks, tr.unmatched_marks, tr.rtt.mean, tr.rtt.variance,
+            tr.queue_delay.mean, tr.queue_delay.variance, tr.net_state_ms, tr._send_ids)
+
+
+class TestOnArrivalMatchesThreeCalls:
+    """``on_arrival`` against the resolve/apply/record sequence it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 64), st.integers(513, 700)),
+        seed=st.integers(0, 2**32 - 1),
+        window=st.integers(0, 12),
+        depart_p=st.floats(0.0, 1.0),
+        per_chunk=st.integers(1, 60),
+    )
+    @example(n=600, seed=1, window=4, depart_p=0.9, per_chunk=30)
+    def test_same_state_after_every_step(self, n, seed, window, depart_p, per_chunk):
+        rng = random.Random(seed)
+        # send order i: chunk ascending, wire deadline falling within a chunk
+        sent = [(FrameId(i // per_chunk + 1, 1, i % per_chunk + 1), i // per_chunk + 1,
+                 float(2000 - (i % per_chunk) * 33)) for i in range(n)]
+        # path jitter reorders arrivals by up to ``window`` send positions
+        order = sorted(range(n), key=lambda i: i + rng.uniform(0, window))
+        new, old = FlowDelayState(), ThreeCallDelayState()
+        waiting = []
+        for step, i in enumerate(order):
+            frame_id, chunk, ddl_ms = sent[i]
+            rtt_ms = float(rng.randint(0, 65535))
+            ref_offset = rng.choice((0, rng.randint(1, 255), rng.randint(1, window + 3)))
+            new.on_arrival(frame_id, chunk, ddl_ms, rtt_ms, ref_offset)
+            old.on_arrival(frame_id, chunk, ddl_ms, rtt_ms, ref_offset)
+            waiting.append(frame_id)
+            if rng.random() < depart_p:
+                gone = waiting.pop(rng.randrange(len(waiting)))
+                q_ms = rng.uniform(0.0, 500.0)
+                new.record_departure(gone, q_ms)
+                old.record_departure(gone, q_ms)
+            assert tracker_state(new) == tracker_state(old)
+            assert len(new._send_ids) == min(step + 1, new.history_limit)

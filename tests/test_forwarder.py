@@ -137,3 +137,13 @@ class TestNextAction:
         fwd.deficit[1] = 1000.0
         act = fwd.next_action({0: queue_of(starved), 1: queue_of(ready)}, 0)
         assert isinstance(act, SendAction) and act.flow == 1
+
+    @pytest.mark.parametrize("action,field", [
+        (SendAction(0, None, 10, True), "bytes_sent"),
+        (SendAction(0, None, 10, True), "completed"),
+        (DropAction(0, None), "flow"),
+        (DropAction(0, None), "frame"),
+    ])
+    def test_actions_are_immutable(self, action, field):
+        with pytest.raises(AttributeError):
+            setattr(action, field, 1)

@@ -22,22 +22,39 @@ def small_config(**kw):
     return SimConfig(**defaults)
 
 
+def delay_args(cfg):
+    """(server delay, jitter mean) as the simulator reads them off ``cfg``."""
+    sim = Simulation(dataclasses.replace(cfg, n_flows=0))
+    return sim.server_delay_ms, sim.jitter_mean_ms
+
+
 class TestInjectDelay:
     def test_stable_is_constant(self):
         cfg = SimConfig(server_delay_ms=10.0, regime="stable")
         rng = np.random.default_rng(0)
-        assert inject_delay(1000, cfg, rng) == 1000 + 10_000
+        assert inject_delay(1000, *delay_args(cfg), rng) == 1000 + 10_000
 
     def test_zero_jitter_degenerates_to_stable(self):
         cfg = SimConfig(server_delay_ms=10.0, regime="unstable", jitter_mean_ms=0.0)
         rng = np.random.default_rng(0)
-        assert inject_delay(1000, cfg, rng) == 1000 + 10_000
+        assert inject_delay(1000, *delay_args(cfg), rng) == 1000 + 10_000
 
     def test_jitter_empirical_mean(self):
         cfg = SimConfig(server_delay_ms=0.0, regime="unstable", jitter_mean_ms=15.0)
         rng = np.random.default_rng(42)
-        extra = [inject_delay(0, cfg, rng) for _ in range(100_000)]
+        args = delay_args(cfg)
+        extra = [inject_delay(0, *args, rng) for _ in range(100_000)]
         assert np.mean(extra) / 1000.0 == pytest.approx(15.0, rel=0.02)
+
+    @pytest.mark.parametrize("regime,jitter_mean_ms", [
+        ("stable", 15.0), ("unstable", 0.0),
+    ])
+    def test_no_jitter_draws_nothing(self, regime, jitter_mean_ms):
+        cfg = SimConfig(regime=regime, jitter_mean_ms=jitter_mean_ms)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        inject_delay(0, *delay_args(cfg), rng)
+        assert rng.bit_generator.state == state
 
 
 class TestRuns:

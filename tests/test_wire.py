@@ -73,6 +73,24 @@ def test_saturate_ms():
     assert saturate_ms(99.6) == 100
 
 
+@pytest.mark.parametrize("value,expected", [
+    (-0.4, 0), (-0.6, 0), (99.5, 100), (100.5, 100), (65535.4, 65535),
+    (65535.5, 65535), (1e300, 65535), (-1e300, 0), (0, 0), (1234, 1234), (70000, 65535),
+])
+def test_saturate_ms_edges_round_half_to_even_then_clamp(value, expected):
+    out = saturate_ms(value)
+    assert out == expected
+    assert type(out) is int
+
+
+@pytest.mark.parametrize("value,error", [
+    (float("nan"), ValueError), (float("inf"), OverflowError), (float("-inf"), OverflowError),
+])
+def test_saturate_ms_rejects_nonfinite(value, error):
+    with pytest.raises(error):
+        saturate_ms(value)
+
+
 def test_boundary_sweep_round_trips():
     for flag, chunk, tile, gop, ddl, rtt, ref in itertools.product(
         (False, True), (0, 65535), (0, 255), (0, 255), (0, 65535), (0, 65535), (0, 255)
