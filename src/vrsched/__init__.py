@@ -20,7 +20,7 @@ from .baselines import SchedulerPolicy, parse_policy, rr_allocate
 from .config import ConfigError, SimConfig, apply_overrides, load_config
 from .delay import EwmaStat, FlowDelayState
 from .forwarder import DwrrForwarder, EdfForwarder
-from .frame_queue import FrameQueue, QueuedFrame, split_sets, tolerable_time
+from .frame_queue import FrameQueue, QueuedFrame, forward_prefix, tolerable_time
 from .scheduling import FlowStInput, StDecision, classify, compensate, schedule_st, utility
 from .sim import RunResult, Simulation, inject_delay, run
 from .traffic import TraceParams, generate_trace, viewing_probability_walk

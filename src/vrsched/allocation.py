@@ -177,22 +177,36 @@ def allocate_lt(
     """Run the three-step long-timescale allocation across all flows.
 
     Flows whose departing set is empty or whose arrival statistics are not
-    yet measurable carry their decision in ``prev`` forward. If the summed
+    yet measurable carry their decision in ``prev`` forward. A backlogged
+    flow with a measured arrival process but no service sample yet gets
+    its arrival byte rate instead (the limit of the rate inversion as the
+    target delay grows), capped at the link rate: a carried rate shrinks
+    at every scaled interval, and a flow starved before its first
+    departure would never measure one. If the summed
     demands exceed the link rate, all rates are scaled down proportionally
     (with a tiny margin so the total never lands above the link rate in
     floating point).
     """
     decision = LtDecision(rate_bps={}, target_delay_s={}, s_ave_bytes={})
     for flow, inp in inputs.items():
-        if not inp.frames or not inp.stats.ready:
-            decision.rate_bps[flow] = prev.rate_bps[flow]
+        stats = inp.stats
+        if not inp.frames or not stats.ready:
+            arriving = (
+                inp.frames
+                and stats.inter_arrival.initialized
+                and stats.frame_size.initialized
+                and stats.mu_a > 0
+            )
+            decision.rate_bps[flow] = (
+                min(8.0 * stats.s_ave / stats.mu_a, link_bps) if arriving
+                else prev.rate_bps[flow]
+            )
             decision.target_delay_s[flow] = prev.target_delay_s[flow]
             decision.s_ave_bytes[flow] = prev.s_ave_bytes[flow]
             continue
         d, infeasible = max_target_delay(inp.frames, epsilon, d_min_s)
         if infeasible:
             decision.infeasible.add(flow)
-        stats = inp.stats
         decision.rate_bps[flow] = rate_for_target_delay(
             d, stats.mu_a, stats.c_a, stats.c_s, stats.s_ave, cap_bps=link_bps
         )

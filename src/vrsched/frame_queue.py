@@ -2,8 +2,9 @@
 
 Frames wait here between arrival and forwarding. The queue is kept in
 descending weight order, where weight trades importance against remaining
-tolerable queuing time; selection of the forwarded / dropped / retained
-split is a budgeted prefix walk over that order. The queue also owns the
+tolerable queuing time; what one tick's budget forwards is a prefix walk
+over that order that skips expired frames and stops at the first live
+frame that does not fit (``forward_prefix``). The queue also owns the
 two rules applied to every waiting frame: expiry of frames past their
 bound, and short-timescale revision of bounds to deadline - v.
 
@@ -54,10 +55,6 @@ class QueuedFrame:
         v = self.net_state
         return self.arrival_bound_ms if v is None else self.ddl_ms - v[0]
 
-    @property
-    def gamma(self) -> float:
-        return self.meta.gamma
-
 
 def tolerable_time(frame: QueuedFrame, now_us: int) -> float:
     """Milliseconds of queuing the frame can still absorb; negative = expired."""
@@ -66,34 +63,29 @@ def tolerable_time(frame: QueuedFrame, now_us: int) -> float:
     return bound_ms - (now_us - frame.t_arrival_us) / US_PER_MS
 
 
-def split_sets(
+def forward_prefix(
     frames: Sequence[QueuedFrame],
     budget_bytes: float,
     now_us: int,
-) -> tuple[list[QueuedFrame], list[QueuedFrame], list[QueuedFrame]]:
-    """Partition a weight-ordered queue into (forwarded, dropped, retained).
+) -> tuple[float, Optional[QueuedFrame]]:
+    """Importance forwarded from a weight-ordered queue within a byte budget.
 
-    Expired frames (tolerable time < 0) are dropped wherever they sit; their
-    sizes never count against the budget. Live frames join the forwarded set
-    while the running size total stays within the budget; once one does not
-    fit, every later live frame is retained.
+    Expired frames (tolerable time < 0) are skipped wherever they sit; their
+    sizes never count against the budget. Live frames are forwarded in
+    queue order while the running size total stays within the budget.
+    Returns the summed importance of the forwarded frames and the first
+    live frame that does not fit (None when every live frame fits).
     """
-    forwarded: list[QueuedFrame] = []
-    dropped: list[QueuedFrame] = []
-    retained: list[QueuedFrame] = []
+    gain = 0.0
     used = 0.0
-    overflowed = False
     for f in frames:
         if tolerable_time(f, now_us) < 0:
-            dropped.append(f)
             continue
-        if not overflowed and used + f.remaining <= budget_bytes:
-            forwarded.append(f)
-            used += f.remaining
-        else:
-            overflowed = True
-            retained.append(f)
-    return forwarded, dropped, retained
+        if used + f.remaining > budget_bytes:
+            return gain, f
+        used += f.remaining
+        gain += f.meta.gamma
+    return gain, None
 
 
 _sort_key = attrgetter("key")
@@ -154,9 +146,6 @@ class FrameQueue:
         elif self.expire:
             heappush(self._heap, (instant_us, next(self._count), frame))
         return True
-
-    def head(self) -> Optional[QueuedFrame]:
-        return self.frames[0] if self.frames else None
 
     def pop_head(self) -> QueuedFrame:
         frame = self.frames.pop(0)

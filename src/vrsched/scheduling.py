@@ -12,20 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .allocation import rate_for_target_delay
-from .frame_queue import QueuedFrame, split_sets
+from .allocation import ArrivalServiceStats, LtDecision, rate_for_target_delay
+from .frame_queue import QueuedFrame, forward_prefix
 
 
 class FlowStInput(NamedTuple):
     """Per-flow view handed to the short-timescale scheduler at a tick."""
 
-    frames: Sequence[QueuedFrame]          # queue snapshot in service order
-    base_rate_bps: float                   # long-timescale allocation
-    target_delay_s: Optional[float]
-    s_ave_bytes: Optional[float]
-    mu_a: Optional[float]
-    c_a: Optional[float]
-    c_s: Optional[float]
+    frames: Sequence[QueuedFrame]   # queue snapshot in service order
+    stats: ArrivalServiceStats      # read only when the network state worsened
     v_now_ms: Optional[float]
     v_prev_ms: Optional[float]
 
@@ -35,8 +30,6 @@ class StDecision:
     """Per-flow short-timescale increments for one tick."""
 
     rate_bps: dict[int, float]
-    worsened: list[int] = field(default_factory=list)   # network state increased
-    steady: list[int] = field(default_factory=list)
     phase1_bps: dict[int, float] = field(default_factory=dict)
     last_gain: dict[int, float] = field(default_factory=dict)
 
@@ -44,20 +37,16 @@ class StDecision:
         return sum(self.rate_bps.values())
 
 
-def classify(
-    v_now: Mapping[int, Optional[float]],
-    v_prev: Mapping[int, Optional[float]],
-) -> tuple[list[int], list[int]]:
-    """Split flows on strict network-state increase; unknown states stay steady."""
-    worsened: list[int] = []
-    steady: list[int] = []
-    for flow in v_now:
-        now, prev = v_now[flow], v_prev.get(flow)
-        if now is not None and prev is not None and now > prev:
-            worsened.append(flow)
-        else:
-            steady.append(flow)
-    return worsened, steady
+def classify(inputs: Mapping[int, FlowStInput]) -> list[int]:
+    """Ids of the flows whose network state strictly rose, ascending.
+
+    A flow whose current or previous state is unknown never counts.
+    """
+    return sorted(
+        flow for flow, inp in inputs.items()
+        if inp.v_now_ms is not None and inp.v_prev_ms is not None
+        and inp.v_now_ms > inp.v_prev_ms
+    )
 
 
 def compensate(
@@ -80,9 +69,8 @@ def compensate(
     return max(0.0, revised - base)
 
 
-def utility(b_bps: float, base_bps: float, frames: Sequence[QueuedFrame]) -> float:
-    """Importance forwarded per unit of allocated rate."""
-    gain = sum(f.gamma for f in frames)
+def utility(b_bps: float, base_bps: float, gain: float) -> float:
+    """Importance ``gain`` forwarded per unit of allocated rate."""
     if gain == 0.0:
         return 0.0
     total = b_bps + base_bps
@@ -91,18 +79,9 @@ def utility(b_bps: float, base_bps: float, frames: Sequence[QueuedFrame]) -> flo
     return gain / total
 
 
-def _affordable(
-    frames: Sequence[QueuedFrame], rate_bps: float, sti_s: float, now_us: int
-) -> tuple[list[QueuedFrame], Optional[QueuedFrame]]:
-    """Forwardable prefix at ``rate_bps`` over one tick, plus the first frame
-    beyond it."""
-    budget = rate_bps * sti_s / 8.0
-    fwd, _, retained = split_sets(frames, budget, now_us)
-    return fwd, (retained[0] if retained else None)
-
-
 def schedule_st(
     inputs: Mapping[int, FlowStInput],
+    lt: LtDecision,
     link_bps: float,
     sti_s: float,
     now_us: int,
@@ -110,38 +89,31 @@ def schedule_st(
 ) -> StDecision:
     """Distribute the short-timescale surplus across flows for one tick.
 
-    Phase 1 walks worsened flows in ascending id and assigns each its
-    compensation, capped by the remaining surplus. Phase 2 repeatedly finds
-    each flow's first unaffordable frame, prices it at the rate needed to
-    push it through this tick, and grants that rate to the flow with the
-    largest utility gain; grants that would overshoot the surplus exclude
-    the flow for that round. The loop stops when the surplus is exhausted,
-    nothing is pending, or the best gain is not positive.
+    Base rates, target delays and mean frame sizes come from ``lt``, the
+    long-timescale decision in force. Phase 1 walks worsened flows in
+    ascending id and assigns each its compensation, capped by the
+    remaining surplus; a flow without a target delay or measurable
+    arrival statistics is skipped. Phase 2 repeatedly finds each flow's
+    first unaffordable frame, prices it at the rate needed to push it
+    through this tick, and grants that rate to the flow with the largest
+    utility gain; grants that would overshoot the surplus exclude the flow
+    for that round. The loop stops when the surplus is exhausted, nothing
+    is pending, or the best gain is not positive.
     """
     decision = StDecision(rate_bps={f: 0.0 for f in inputs})
-    decision.worsened, decision.steady = classify(
-        {f: i.v_now_ms for f, i in inputs.items()},
-        {f: i.v_prev_ms for f, i in inputs.items()},
-    )
-    surplus = link_bps - sum(inp.base_rate_bps for inp in inputs.values())
+    base_bps = lt.rate_bps
+    surplus = link_bps - sum(base_bps[f] for f in inputs)
     if surplus <= 0.0:
         return decision
 
-    for flow in sorted(decision.worsened):
+    for flow in classify(inputs):
         inp = inputs[flow]
-        if (
-            inp.target_delay_s is None
-            or inp.s_ave_bytes is None
-            or inp.mu_a is None
-            or inp.v_now_ms is None
-            or inp.v_prev_ms is None
-        ):
+        stats = inp.stats
+        d_s, s_ave = lt.target_delay_s[flow], lt.s_ave_bytes[flow]
+        if d_s is None or s_ave is None or not stats.ready:
             continue
         dv_s = (inp.v_now_ms - inp.v_prev_ms) / 1000.0
-        comp = compensate(
-            inp.target_delay_s, dv_s, inp.mu_a, inp.c_a, inp.c_s,
-            inp.s_ave_bytes, d_min_s,
-        )
+        comp = compensate(d_s, dv_s, stats.mu_a, stats.c_a, stats.c_s, s_ave, d_min_s)
         grant = min(comp, surplus)
         decision.rate_bps[flow] = grant
         decision.phase1_bps[flow] = grant
@@ -154,22 +126,19 @@ def schedule_st(
         best_gain = 0.0
         best_delta = 0.0
         for flow in sorted(inputs):
-            inp = inputs[flow]
+            frames, base = inputs[flow].frames, base_bps[flow]
             allocated = decision.rate_bps[flow]
-            fwd, pending = _affordable(
-                inp.frames, inp.base_rate_bps + allocated, sti_s, now_us
-            )
+            fwd_gain, pending = forward_prefix(frames, (base + allocated) * sti_s / 8.0, now_us)
             if pending is None:
                 continue
             delta = 8.0 * pending.remaining / sti_s
             if delta > surplus:
                 continue
-            u_now = utility(allocated, inp.base_rate_bps, fwd)
-            fwd_next, _ = _affordable(
-                inp.frames, inp.base_rate_bps + allocated + delta, sti_s, now_us
+            u_now = utility(allocated, base, fwd_gain)
+            next_gain, _ = forward_prefix(
+                frames, (base + allocated + delta) * sti_s / 8.0, now_us
             )
-            u_next = utility(allocated + delta, inp.base_rate_bps, fwd_next)
-            gain = u_next - u_now
+            gain = utility(allocated + delta, base, next_gain) - u_now
             decision.last_gain[flow] = gain
             if best_flow is None or gain > best_gain:
                 best_flow, best_gain, best_delta = flow, gain, delta

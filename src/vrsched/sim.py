@@ -351,7 +351,7 @@ class Simulation:
         inputs: dict[int, FlowLtInput] = {}
         for f, rt in self.flows.items():
             departing = rt.queue.departing_set(delta_alloc_s * 1000.0, now_us)
-            pairs = [(fr.gamma, fr.bound_ms / 1000.0) for fr in departing]
+            pairs = [(fr.meta.gamma, fr.bound_ms / 1000.0) for fr in departing]
             inputs[f] = FlowLtInput(frames=pairs, stats=rt.stats)
         self.lt_decision = allocate_lt(
             inputs, self.lt_decision, self.link_bps, self.config.epsilon, self.d_min_s
@@ -409,20 +409,10 @@ class Simulation:
         inputs: dict[int, FlowStInput] = {}
         for f, rt in self.flows.items():
             rt.queue.resort(rt.tracker.net_state_ms)
-            stats_ready = rt.stats.ready
-            inputs[f] = FlowStInput(
-                frames=rt.queue.frames,
-                base_rate_bps=self.lt_decision.rate_bps[f],
-                target_delay_s=self.lt_decision.target_delay_s[f],
-                s_ave_bytes=self.lt_decision.s_ave_bytes[f],
-                mu_a=rt.stats.mu_a if stats_ready else None,
-                c_a=rt.stats.c_a if stats_ready else None,
-                c_s=rt.stats.c_s if stats_ready else None,
-                v_now_ms=rt.tracker.net_state_ms,
-                v_prev_ms=rt.v_prev_ms,
-            )
-        st = schedule_st(inputs, self.link_bps, self.config.sti_s, now_us,
-                         self.d_min_s)
+            inputs[f] = FlowStInput(rt.queue.frames, rt.stats, rt.tracker.net_state_ms,
+                                    rt.v_prev_ms)
+        st = schedule_st(inputs, self.lt_decision, self.link_bps, self.config.sti_s,
+                         now_us, self.d_min_s)
         self._assert_budget(self.lt_decision.total() + st.total())
 
         for f, rt in self.flows.items():

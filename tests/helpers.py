@@ -6,7 +6,7 @@ import copy
 from vrsched.allocation import ArrivalServiceStats
 from vrsched.delay import FlowDelayState
 from vrsched.forwarder import SendAction
-from vrsched.frame_queue import QueuedFrame
+from vrsched.frame_queue import QueuedFrame, tolerable_time
 from vrsched.video import FrameId, FrameMeta
 
 
@@ -27,6 +27,32 @@ def make_frame(
         remaining=remaining if remaining is not None else size,
         send_idx=0,
     )
+
+
+def split_sets(frames, budget_bytes, now_us):
+    """Partition a weight-ordered queue into (forwarded, dropped, retained).
+
+    The reference for :func:`vrsched.frame_queue.forward_prefix`, which
+    returns only the forwarded importance and the first retained frame.
+    Expired frames (tolerable time < 0) are dropped wherever they sit; their
+    sizes never count against the budget. Live frames join the forwarded set
+    while the running size total stays within the budget; once one does not
+    fit, every later live frame is retained.
+    """
+    forwarded, dropped, retained = [], [], []
+    used = 0.0
+    overflowed = False
+    for f in frames:
+        if tolerable_time(f, now_us) < 0:
+            dropped.append(f)
+            continue
+        if not overflowed and used + f.remaining <= budget_bytes:
+            forwarded.append(f)
+            used += f.remaining
+        else:
+            overflowed = True
+            retained.append(f)
+    return forwarded, dropped, retained
 
 
 def drain(forwarder, queues, now_us):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import make_stats
 from vrsched.allocation import (
+    ArrivalServiceStats,
     FlowLtInput,
     LtDecision,
     allocate_lt,
@@ -235,11 +236,41 @@ class TestAllocateLt:
         assert decision.s_ave_bytes[0] == 40000.0
 
     def test_unready_stats_carry_forward(self):
-        from vrsched.allocation import ArrivalServiceStats
         inp = FlowLtInput(frames=[(0.5, 0.1)], stats=ArrivalServiceStats())
         decision = allocate_lt({0: inp}, self._prev(2e6), link_bps=1e9,
                                epsilon=0.1)
         assert decision.rate_bps[0] == 2e6
+
+    @staticmethod
+    def _arrivals_only(mu_a_s, s_ave):
+        """Stats with an arrival process measured but no service sample."""
+        stats = ArrivalServiceStats()
+        stats.inter_arrival.update(mu_a_s)
+        stats.frame_size.update(s_ave)
+        return stats
+
+    def test_backlogged_unready_flow_gets_its_arrival_rate(self):
+        inp = FlowLtInput(frames=[(0.5, 0.1)], stats=self._arrivals_only(0.04, 50000.0))
+        prev = self._prev(6.6, delay_s=0.25, s_ave_bytes=40000.0)
+        decision = allocate_lt({0: inp}, prev, link_bps=1e9, epsilon=0.1)
+        assert decision.rate_bps[0] == 8.0 * 50000.0 / 0.04
+        assert decision.target_delay_s[0] == 0.25
+        assert decision.s_ave_bytes[0] == 40000.0
+
+    def test_arrival_rate_capped_at_link(self):
+        inp = FlowLtInput(frames=[(0.5, 0.1)], stats=self._arrivals_only(0.04, 50000.0))
+        decision = allocate_lt({0: inp}, self._prev(6.6), link_bps=1e6, epsilon=0.1)
+        assert decision.rate_bps[0] == 1e6
+
+    def test_idle_unready_flow_carries_forward(self):
+        inp = FlowLtInput(frames=[], stats=self._arrivals_only(0.04, 50000.0))
+        decision = allocate_lt({0: inp}, self._prev(6.6), link_bps=1e9, epsilon=0.1)
+        assert decision.rate_bps[0] == 6.6
+
+    def test_zero_inter_arrival_carries_forward(self):
+        inp = FlowLtInput(frames=[(0.5, 0.1)], stats=self._arrivals_only(0.0, 50000.0))
+        decision = allocate_lt({0: inp}, self._prev(6.6), link_bps=1e9, epsilon=0.1)
+        assert decision.rate_bps[0] == 6.6
 
     def test_infeasible_constraint_flagged_at_floor(self):
         inp = self._input(frames=[(0.9, 0.05)])

@@ -61,7 +61,7 @@ class TestEdfNext:
 
     def test_sends_the_whole_head(self):
         q = queue_with_head(100.0)
-        frame = q.head()
+        frame = q.frames[0]
         act = EdfForwarder([0]).next_action({0: q}, 0)
         assert act == SendAction(0, frame, frame.meta.size, True)
         assert frame.remaining == 0 and len(q) == 0

@@ -66,7 +66,7 @@ class TestForwardRound:
         assert sends == [SendAction(0, frame, 5000, False)]
         assert frame.in_service
         assert frame.remaining == 3000
-        assert q.head() is frame
+        assert q.frames[0] is frame
 
     def test_partial_frame_resumes_after_replenish(self):
         frame = make_frame(size=8000, bound_ms=1000.0)

@@ -1,11 +1,13 @@
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import make_frame
-from vrsched.frame_queue import FrameQueue, split_sets, tolerable_time
+from helpers import make_frame, split_sets
+from vrsched.frame_queue import FrameQueue, forward_prefix, tolerable_time
 from vrsched.metrics import MetricsCollector
 
 MS = 1000  # microseconds per millisecond
@@ -44,7 +46,7 @@ class TestResort:
         for f in frames:
             q.push(f)
         q.resort(None)
-        assert [f.gamma for f in q.frames] == [0.9, 0.5, 0.2]
+        assert [f.meta.gamma for f in q.frames] == [0.9, 0.5, 0.2]
 
     def test_equal_weight_ties_break_by_frame_id(self):
         a = make_frame(c=1, m=1, k=2, gamma=0.5, bound_ms=100.0)
@@ -84,6 +86,8 @@ class TestResort:
 
 
 class TestSplitSets:
+    """The reference partition that ``forward_prefix`` is checked against."""
+
     def test_prefix_fits_budget(self):
         frames = [make_frame(k=k, size=s, bound_ms=1000.0)
                   for k, s in ((1, 4), (2, 3), (3, 5))]
@@ -126,13 +130,69 @@ class TestSplitSets:
         assert set(map(id, fwd)) <= set(map(id, fwd2))
 
 
+class TestForwardPrefix:
+    def test_prefix_fits_budget(self):
+        frames = [make_frame(k=k, size=s, gamma=g, bound_ms=1000.0)
+                  for k, s, g in ((1, 4, 0.5), (2, 3, 0.25), (3, 5, 0.125))]
+        assert forward_prefix(frames, 10, 0) == (0.75, frames[2])
+
+    def test_zero_budget_forwards_nothing(self):
+        ok = make_frame(k=1, size=4, bound_ms=1000.0)
+        dead = make_frame(k=2, size=3, bound_ms=-1.0)
+        assert forward_prefix([ok, dead], 0, 0) == (0.0, ok)
+
+    def test_expired_frame_does_not_consume_budget(self):
+        f1 = make_frame(k=1, size=4, gamma=0.5, bound_ms=1000.0)
+        f2 = make_frame(k=2, size=3, gamma=0.9, bound_ms=-5.0)
+        f3 = make_frame(k=3, size=5, gamma=0.25, bound_ms=1000.0)
+        assert forward_prefix([f1, f2, f3], 10, 0) == (0.75, None)
+
+    @given(
+        frames=st.lists(
+            st.tuples(st.integers(1, 50), st.floats(-100, 100),
+                      st.sampled_from((0.0, 0.1, 0.3, 0.7, 1.0)) | st.floats(0.0, 1.0),
+                      st.booleans()),
+            max_size=20,
+        ),
+        budget=st.integers(0, 300) | st.floats(0, 300),
+        now_ms=st.integers(0, 50),
+    )
+    def test_equals_the_reference_partition(self, frames, budget, now_ms):
+        queue = []
+        for k, (size, bound, gamma, pin) in enumerate(frames, start=1):
+            pinned = pin and k == 1   # only the head can be in service
+            f = make_frame(k=k, size=size, gamma=gamma, bound_ms=bound,
+                           remaining=(size + 1) // 2 if pinned else None)
+            f.in_service = pinned
+            queue.append(f)
+        fwd, _, retained = split_sets(queue, budget, now_ms * MS)
+        gain, pending = forward_prefix(queue, budget, now_ms * MS)
+        # plain float adds from 0.0: what sum() does before Python 3.12,
+        # which compensates its rounding from then on
+        assert gain == reduce(add, (f.meta.gamma for f in fwd), 0.0)
+        assert pending is (retained[0] if retained else None)
+
+    @given(
+        sizes=st.lists(st.integers(1, 50), min_size=1, max_size=20),
+        bounds=st.lists(st.floats(-100, 100), min_size=1, max_size=20),
+        budget=st.integers(0, 300),
+        extra=st.integers(0, 200),
+    )
+    def test_gain_monotone_in_budget(self, sizes, bounds, budget, extra):
+        n = min(len(sizes), len(bounds))
+        frames = [make_frame(k=k + 1, size=sizes[k], bound_ms=bounds[k])
+                  for k in range(n)]
+        gain, _ = forward_prefix(frames, budget, 0)
+        assert gain <= forward_prefix(frames, budget + extra, 0)[0]
+
+
 def quality_loss(forwarded, dropped) -> float:
     """Quality loss of the metrics cell these frames departed in."""
     collector = MetricsCollector([0])
     for f in dropped:
-        collector.on_dropped(1, 0, f.gamma)
+        collector.on_dropped(1, 0, f.meta.gamma)
     for f in forwarded:
-        collector.on_forwarded(1, 0, f.gamma, f.meta.size, late=False)
+        collector.on_forwarded(1, 0, f.meta.gamma, f.meta.size, late=False)
     return collector.cell(1, 0).quality_loss
 
 
@@ -252,13 +312,13 @@ NET_STATES = st.integers(-50 * 1024, 200 * 1024).map(lambda i: i / 1024)
 
 def tick_weight(frame, beta, now_us):
     """A frame's weight at ``now_us`` under its current bound."""
-    return frame.gamma - beta * tolerable_time(frame, now_us) / 1000.0
+    return frame.meta.gamma - beta * tolerable_time(frame, now_us) / 1000.0
 
 
 def exact_rank(frame, revised, beta):
     """The weight at t = 0, in exact arithmetic, under the ranking bound."""
     bound = frame.ddl_ms if revised else frame.bound_ms
-    return (Fraction(frame.gamma)
+    return (Fraction(frame.meta.gamma)
             - Fraction(beta) * (Fraction(bound) + Fraction(frame.t_arrival_us, MS)) / 1000)
 
 
@@ -290,7 +350,7 @@ class TestStaticOrder:
             q.resort(v)
             for a, b in zip(q.frames, q.frames[1:]):
                 if exact_rank(a, revised, beta) == exact_rank(b, revised, beta):
-                    if a.gamma == b.gamma:
+                    if a.meta.gamma == b.meta.gamma:
                         assert a.meta.id < b.meta.id
                 else:
                     assert tick_weight(a, beta, now_us) > tick_weight(b, beta, now_us)

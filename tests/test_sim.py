@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import math
 import weakref
 from pathlib import Path
 
@@ -154,6 +155,32 @@ class TestRuns:
         assert len(rows) == n * 2
         header = result.metrics_csv().splitlines()[0]
         assert header.startswith("n,flow,quality_loss")
+
+
+class TestEveryRunEnds:
+    """A backlogged flow that has not yet been served is sized from its arrivals.
+
+    Carrying its previous rate forward instead let every overloaded interval
+    scale that rate down again, so a flow whose first frame stayed pinned
+    never got the service sample that would size it.
+    """
+
+    @staticmethod
+    def termination_bound(cfg):
+        """Intervals to send the last frame, let it reach its deadline and drain."""
+        lead_s = cfg.request_lead_chunks * cfg.chunk_s
+        return math.ceil((cfg.video_s + 2 * lead_s + 5.0) / cfg.delta_s)
+
+    def test_starved_flow_keeps_a_rate(self):
+        cfg = SimConfig(n_flows=40, video_s=10.0, bottleneck_mbps=40.0, seed=2452642389)
+        result = run(cfg, check_invariants=True)
+        assert result.summary["intervals"] <= self.termination_bound(cfg)
+        assert result.flow_counters[39]["forwarded"] > 0
+
+    def test_many_flows_on_a_thin_link_do_not_stall(self):
+        cfg = SimConfig(n_flows=60, video_s=3.0, bottleneck_mbps=25.0, seed=1)
+        result = run(cfg, check_invariants=True)
+        assert result.summary["intervals"] <= self.termination_bound(cfg)
 
 
 class TestGoldenMetrics:
