@@ -203,8 +203,8 @@ def load_config(path: str | Path) -> SimConfig:
         raise ConfigError(f"config file not found: {p}")
     try:
         data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})")
+    except (OSError, ValueError) as exc:   # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"{p}: not a readable JSON file ({exc})")
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: top level must be an object")
     return SimConfig.from_dict(data, source=str(p))

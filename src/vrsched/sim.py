@@ -3,9 +3,11 @@
 Per-flow servers emit frames on their trace schedule; frames cross a
 server-side access link (constant delay, optionally with exponential jitter
 per frame), queue at the single bottleneck, and are forwarded by the
-selected policy. Departures serialize on the bottleneck link clock, reach
-the client after the propagation delay, and are acknowledged back to the
-server, which stamps the resulting RTT into the metadata of later frames.
+selected policy. One link event ends each slice the link serializes; the
+slice that completes a frame is its departure. The frame reaches the client
+after the propagation delay and is acknowledged back to the server, which
+hears the ack at its next send and stamps the resulting RTT into the
+metadata option of that and later frames.
 
 Time is integer microseconds throughout. Events at equal timestamps are
 ordered by kind priority, then by insertion sequence, so runs are
@@ -17,13 +19,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
 import numpy as np
 
-from . import wire
 from .allocation import ArrivalServiceStats, FlowLtInput, LtDecision, allocate_lt
 from .baselines import EDF, RR, SINGLE_TS, SchedulerPolicy, parse_policy, rr_allocate
 from .config import ConfigError, SimConfig
@@ -34,15 +36,14 @@ from .metrics import MetricsCollector, csv_text, summary_csv, write_text
 from .scheduling import FlowStInput, schedule_st
 from .traffic import cached_trace
 from .video import US_PER_MS, US_PER_S, FlowTrace, FrameMeta, read_trace
+from .wire import saturate_ms
 
 # event kind priorities: lower runs first at equal timestamps
-EV_DEPARTURE = 0
-EV_LINKFREE = 1   # a partial slice finished serializing; resume service
-EV_SEND = 2
-EV_ARRIVAL = 3
-EV_ACK = 4
-EV_LTI = 5
-EV_STI = 6
+EV_LINK = 0   # a slice finished serializing; data is the frame it completed, or None
+EV_SEND = 1
+EV_ARRIVAL = 2
+EV_LTI = 3
+EV_STI = 4
 
 _JITTER_STREAM = 2
 
@@ -67,7 +68,9 @@ class _FlowRuntime:
     stats: ArrivalServiceStats
     jitter_rng: np.random.Generator
     next_send: int = 0
-    latest_mark: Optional[tuple[float, int]] = None  # (rtt_ms, send index acked)
+    # acks in the order the server hears them: (heard_at_us, send index acked);
+    # once heard, the head is the freshest ack the server knows of
+    acks: deque[tuple[int, int]] = field(default_factory=deque)
     last_arrival_us: Optional[int] = None
     current_rate_bps: float = 0.0
     v_prev_ms: Optional[float] = None
@@ -227,14 +230,13 @@ class Simulation:
 
     def _commit_to_link(self, now_us: int, flow: int, frame: QueuedFrame,
                         nbytes: int, completed: bool) -> None:
+        # a slice is at least one byte, so two link events never share an instant
         start = max(now_us, self.link_busy_until_us)
         tx_us = int(math.ceil(nbytes * 8 * US_PER_S / self.link_bps))
         self.link_busy_until_us = start + tx_us
         if completed:
             self.flows[flow].in_transit += 1
-            self._push(self.link_busy_until_us, EV_DEPARTURE, flow, frame)
-        else:
-            self._push(self.link_busy_until_us, EV_LINKFREE, flow, None)
+        self._push(self.link_busy_until_us, EV_LINK, flow, frame if completed else None)
 
     def _drop(self, now_us: int, flow: int, frame_meta: FrameMeta) -> None:
         rt = self.flows[flow]
@@ -256,21 +258,27 @@ class Simulation:
         rt = self.flows[flow]
         meta = rt.trace.frames[idx]
 
-        rtt_ms, ref_offset = 0, 0
-        if rt.latest_mark is not None:
-            mark_rtt, ref_idx = rt.latest_mark
+        # an ack heard at this very instant reaches the server after the send
+        acks = rt.acks
+        while len(acks) > 1 and acks[1][0] < now_us:
+            acks.popleft()
+        rtt_ms, ref_offset = 0.0, 0
+        if acks and acks[0][0] < now_us:
+            heard_at_us, ref_idx = acks[0]
             offset = idx - ref_idx
             if 1 <= offset <= 255:
-                rtt_ms, ref_offset = mark_rtt, offset
-        c, m, k = meta.id
-        packet = wire.encode(wire.MetadataOption(True, c, m, k, meta.deadline_ms,
-                                                 rtt_ms, ref_offset))
+                # frames are sent in trace order and trace ids never repeat,
+                # so the acked frame's trace index is its send index
+                rtt = heard_at_us / US_PER_MS - rt.trace.frames[ref_idx].send_time_ms
+                rtt_ms, ref_offset = float(saturate_ms(rtt)), offset
 
         rt.generated += 1
         rt.in_flight += 1
         arrival = inject_delay(now_us, self.server_delay_ms, self.jitter_mean_ms,
                                rt.jitter_rng)
-        self._push(arrival, EV_ARRIVAL, flow, (meta, packet, idx))
+        # the option's fields as the bottleneck reads them off the wire
+        self._push(arrival, EV_ARRIVAL, flow,
+                   (meta, float(saturate_ms(meta.deadline_ms)), rtt_ms, ref_offset, idx))
 
         rt.next_send = idx + 1
         if rt.next_send < len(rt.trace.frames):
@@ -278,14 +286,12 @@ class Simulation:
 
     def _on_arrival(self, now_us: int, flow: int, data: tuple) -> None:
         rt = self.flows[flow]
-        meta, packet, idx = data
+        meta, ddl_ms, rtt_ms, ref_offset, idx = data
         rt.in_flight -= 1
         rt.arrived += 1
 
-        _, chunk, _, _, ddl, rtt, ref_offset = wire.decode(packet)
-        ddl_ms = float(ddl)
         tracker = rt.tracker
-        tracker.on_arrival(meta.id, chunk, ddl_ms, float(rtt), ref_offset)
+        tracker.on_arrival(meta.id, meta.id.c, ddl_ms, rtt_ms, ref_offset)
 
         if rt.last_arrival_us is not None:
             rt.stats.inter_arrival.update((now_us - rt.last_arrival_us) / US_PER_S)
@@ -300,38 +306,31 @@ class Simulation:
         # keep the link busy when credit is already available
         self._kick(now_us)
 
-    def _on_departure(self, now_us: int, flow: int, frame: QueuedFrame) -> None:
-        rt = self.flows[flow]
-        rt.in_transit -= 1
-        rt.forwarded += 1
-        q_ms = (now_us - frame.t_arrival_us) / US_PER_MS
-        rt.tracker.record_departure(frame.meta.id, q_ms)
+    def _on_link(self, now_us: int, flow: int, frame: Optional[QueuedFrame]) -> None:
+        """A slice finished serializing: depart the frame it completed, if any, and serve on."""
+        if frame is not None:
+            rt = self.flows[flow]
+            rt.in_transit -= 1
+            rt.forwarded += 1
+            meta = frame.meta
+            q_ms = (now_us - frame.t_arrival_us) / US_PER_MS
+            rt.tracker.record_departure(meta.id, q_ms)
 
-        if rt.current_rate_bps > 0:
-            rt.stats.service.update(frame.meta.size * 8.0 / rt.current_rate_bps)
+            if rt.current_rate_bps > 0:
+                rt.stats.service.update(meta.size * 8.0 / rt.current_rate_bps)
 
-        receipt_ms = now_us / US_PER_MS + self.config.propagation_ms
-        deadline_abs_ms = frame.meta.send_time_ms + frame.meta.deadline_ms
-        late = receipt_ms > deadline_abs_ms + 1e-9
-        n = self._interval_of(now_us)
-        self.collector.on_forwarded(n, flow, frame.meta.gamma, frame.meta.size, late)
-        if self.log_events:
-            fid = frame.meta.id
-            self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "fwd", q_ms))
+            receipt_ms = now_us / US_PER_MS + self.config.propagation_ms
+            late = receipt_ms > meta.send_time_ms + meta.deadline_ms + 1e-9
+            self.collector.on_forwarded(self._interval_of(now_us), flow, meta.gamma,
+                                        meta.size, late)
+            if self.log_events:
+                fid = meta.id
+                self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "fwd", q_ms))
 
-        # the client acks each receipt; the ack carries the RTT reference
-        self._push(now_us + self.ack_lag_us, EV_ACK, flow, frame.send_idx)
+            # the client acks each receipt; departures strictly increase in
+            # time, so the acks queue in the order the server hears them
+            rt.acks.append((now_us + self.ack_lag_us, frame.send_idx))
         self._kick(now_us)
-
-    def _on_linkfree(self, now_us: int, flow: int, _data) -> None:
-        self._kick(now_us)
-
-    def _on_ack(self, now_us: int, flow: int, idx: int) -> None:
-        rt = self.flows[flow]
-        # frames are sent in trace order and trace ids never repeat, so the
-        # acked frame's trace index is its send index
-        rtt_ms = now_us / US_PER_MS - rt.trace.frames[idx].send_time_ms
-        rt.latest_mark = (rtt_ms, idx)
 
     # -- scheduler ticks --------------------------------------------------
 
@@ -457,11 +456,9 @@ class Simulation:
 
     def run(self) -> RunResult:
         handlers = {
-            EV_DEPARTURE: self._on_departure,
-            EV_LINKFREE: self._on_linkfree,
+            EV_LINK: self._on_link,
             EV_SEND: self._on_send,
             EV_ARRIVAL: self._on_arrival,
-            EV_ACK: self._on_ack,
             EV_LTI: self._on_lti,
             EV_STI: self._on_sti,
         }

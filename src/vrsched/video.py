@@ -17,6 +17,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
+from .metrics import write_text
 from .wire import MAX_CHUNK, MAX_GOP_POS, MAX_TILE
 
 US_PER_MS = 1000
@@ -144,14 +145,14 @@ TRACE_HEADER = "flow,c,m,k,size_bytes,gamma,ddl_ms,send_time_ms"
 
 
 def write_trace(trace: FlowTrace, path: str | Path) -> None:
-    """Write a trace as the newline-delimited frame record file."""
+    """Write a trace as the newline-delimited frame record file, making its directory."""
     lines = [TRACE_HEADER]
     for f in trace.frames:
         lines.append(
             f"{trace.flow},{f.id.c},{f.id.m},{f.id.k},{f.size},"
             f"{f.gamma!r},{f.deadline_ms!r},{f.send_time_ms!r}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trace(path: str | Path) -> FlowTrace:

@@ -37,6 +37,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("no/such/config.json")
 
+    def test_unreadable_file_names_path(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path)
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        with pytest.raises(ConfigError, match="config.json: .*Permission denied"):
+            load_config(path)
+
     def test_missing_trace_file_names_path(self, tmp_path):
         cfg = SimConfig(n_flows=1, trace_files=("missing_trace.csv",))
         with pytest.raises(ConfigError, match="missing_trace.csv"):
@@ -213,6 +223,14 @@ class TestBadInput:
         assert f"error: {field}:" in proc.stderr
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_gen_trace_rejects_a_flow_outside_the_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["gen-trace", "--config", str(cfg), "--flow", "2",
@@ -281,7 +299,7 @@ class TestSweep:
 
 class TestGenTrace:
     def test_writes_readable_trace(self, tmp_path):
-        out = tmp_path / "t.csv"
+        out = tmp_path / "missing" / "dir" / "t.csv"   # gen-trace makes the directory
         assert main(["gen-trace", "--out", str(out), "--flow", "1"]) == 0
         from vrsched.video import read_trace
         trace = read_trace(out)

@@ -11,7 +11,7 @@ import pytest
 from vrsched.config import SimConfig
 from vrsched.sim import Simulation, inject_delay, run
 from vrsched.traffic import generate_trace
-from vrsched.video import write_trace
+from vrsched.video import TRACE_HEADER, write_trace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -125,10 +125,30 @@ class TestRuns:
                      if e[5] == "fwd"}
         assert not dropped & forwarded
         for f, rt in sim.flows.items():
-            if rt.latest_mark is not None:
-                _, seq = rt.latest_mark
+            assert rt.acks
+            for _, seq in rt.acks:   # heard, or still on its way back
                 ref = rt.trace.frames[seq].id
                 assert (f, ref.c, ref.m, ref.k) in forwarded
+
+    @pytest.mark.parametrize("policy", ["edf", "proposed"])
+    def test_ack_heard_at_a_send_instant_comes_after_the_send(self, tmp_path, policy):
+        # Frame 1 arrives at 10 ms, takes 1 ms on the 8 Mbps link, and its
+        # ack reaches the server 5 + 15 ms later, at exactly 31 ms. The send
+        # at 31 ms must not carry it; the send at 32 ms does.
+        path = tmp_path / "flow0.csv"
+        path.write_text(TRACE_HEADER + "\n"
+                        "0,1,1,1,1000,0.5,1000.0,0.0\n"
+                        "0,1,1,2,1000,0.5,999.0,31.0\n"
+                        "0,1,1,3,1000,0.5,998.0,32.0\n")
+        cfg = SimConfig(n_flows=1, trace_files=(str(path),), bottleneck_mbps=8.0,
+                        policy=policy)
+        sim = Simulation(cfg)
+        result = sim.run()
+        assert result.summary["frames_fwd"] == 3
+        tracker = sim.flows[0].tracker
+        assert tracker.matched_marks == 1
+        assert tracker.unmatched_marks == 0
+        assert tracker.net_state_ms == 30.0   # 31 ms RTT less 1 ms queued
 
     def test_edf_single_flow_serves_in_fifo_order(self):
         cfg = small_config(n_flows=1, bitrate_mbps_min=2.0, bitrate_mbps_max=2.0,

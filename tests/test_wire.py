@@ -115,3 +115,28 @@ def test_round_trip_randomized(flag, chunk, tile, gop, ddl, rtt, ref):
     buf = encode(opt)
     assert len(buf) == OPTION_LEN
     assert decode(buf) == opt
+
+
+# Every finite millisecond value, with the halves that round to even and the
+# values either side of the 16-bit range.
+any_ms = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-200_000, 200_000).map(lambda n: n / 2),
+)
+
+
+@given(
+    flag=st.booleans(),
+    chunk=st.integers(0, 65535),
+    tile=st.integers(0, 255),
+    gop=st.integers(0, 255),
+    ddl=any_ms,
+    rtt=any_ms,
+    ref=st.integers(0, 255),
+)
+def test_round_trip_is_saturation(flag, chunk, tile, gop, ddl, rtt, ref):
+    # The simulator hands the bottleneck the saturated fields without the
+    # bytes; this is what makes that exact.
+    opt = MetadataOption(flag, chunk, tile, gop, ddl, rtt, ref)
+    assert decode(encode(opt)) == opt._replace(deadline_ms=saturate_ms(ddl),
+                                               rtt_ms=saturate_ms(rtt))
