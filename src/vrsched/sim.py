@@ -3,26 +3,31 @@
 Per-flow servers emit frames on their trace schedule; frames cross a
 server-side access link (constant delay, optionally with exponential jitter
 per frame), queue at the single bottleneck, and are forwarded by the
-selected policy. One link event ends each slice the link serializes; the
-slice that completes a frame is its departure. The frame reaches the client
-after the propagation delay and is acknowledged back to the server, which
-hears the ack at its next send and stamps the resulting RTT into the
-metadata option of that and later frames.
+selected policy. A frame reaches the bottleneck at an instant fixed by its
+send instant and the path delay alone, so a run computes every arrival up
+front and replays them in order: a send is not an event. At most one slice
+is ever on the link, so its end sits in one slot, not on a queue; the slice
+that completes a frame is its departure. The frame reaches the client after
+the propagation delay and is acknowledged back to the server, which hears
+the ack at its next send and stamps the resulting RTT into the metadata
+option of that and later frames. A send is stamped when its frame, or a
+later frame of its flow that overtook it, reaches the bottleneck: every ack
+heard before the send instant is known by then, and acks heard later are
+skipped.
 
-Time is integer microseconds throughout. Events at equal timestamps are
-ordered by kind priority, then by insertion sequence, so runs are
-bit-reproducible for a given (config, seed).
+Time is integer microseconds throughout. At equal timestamps the link end
+runs first, then arrivals in the order the server sent them, then the long
+and the short tick, so runs are bit-reproducible for a given (config, seed).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,26 +43,83 @@ from .traffic import cached_trace
 from .video import US_PER_MS, US_PER_S, FlowTrace, FrameMeta, read_trace
 from .wire import saturate_ms
 
-# event kind priorities: lower runs first at equal timestamps
-EV_LINK = 0   # a slice finished serializing; data is the frame it completed, or None
-EV_SEND = 1
-EV_ARRIVAL = 2
-EV_LTI = 3
-EV_STI = 4
+NEVER = 2**63 - 1   # the instant of an event that is not due
+# the last send instant the int64 microsecond clock takes, with room for the path delays
+MAX_SEND_MS = 2.0**62 / US_PER_MS
 
 _JITTER_STREAM = 2
 
 
-def inject_delay(t_send_us: int, server_delay_ms: float, jitter_mean_ms: float,
-                 rng: np.random.Generator) -> int:
-    """Bottleneck arrival time for a frame sent at ``t_send_us``.
+def arrival_instants(send_us: np.ndarray, server_delay_ms: float, jitter_mean_ms: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Bottleneck arrival instants (int64 µs) of one flow's frames sent at ``send_us``.
 
-    ``jitter_mean_ms`` is 0.0 on a stable link; ``rng`` is drawn only when it is positive.
+    Each frame takes ``server_delay_ms`` plus, when ``jitter_mean_ms`` is
+    positive, one exponential draw from ``rng``, drawn in send order; ``rng``
+    is not drawn when it is 0.0, as on a stable link.
     """
     delay_ms = server_delay_ms
     if jitter_mean_ms > 0:
-        delay_ms += rng.exponential(jitter_mean_ms)
-    return t_send_us + int(round(delay_ms * US_PER_MS))
+        delay_ms = server_delay_ms + rng.exponential(jitter_mean_ms, size=len(send_us))
+    return send_us + np.rint(np.multiply(delay_ms, US_PER_MS)).astype(np.int64)
+
+
+def _send_keys(send_us: list[np.ndarray], flow: np.ndarray, idx: np.ndarray
+               ) -> tuple[np.ndarray, ...]:
+    """Sort keys, least significant first, that order sends as the servers make them.
+
+    ``flow`` and ``idx`` give the flow and trace index of each entry of the
+    flows' concatenated send instants. The order is that of a send queue
+    keyed by (instant, insertion order) into which each flow's first send
+    goes up front, in flow order, and each later send when its flow's
+    previous send is made. So at one instant a flow's first send comes
+    first, and any other send follows the previous send of its flow: a tie
+    on (instant, flow) is not the same rule.
+    """
+    longest = max(send_us, key=len)
+    if all(np.array_equal(s, longest[:len(s)]) for s in send_us):
+        # one grid: at an instant, every flow's chain of earlier sends is the
+        # same, so the lower trace index goes first, then the lower flow; and
+        # on one grid, the order of trace indices is the order of instants
+        return flow, idx
+    lists = [s.tolist() for s in send_us]
+    start = np.cumsum([0] + [len(s) for s in lists]).tolist()
+    queue = [(s[0], f, f) for f, s in enumerate(lists) if s]   # (instant, key, flow)
+    heapq.heapify(queue)
+    nxt = [0] * len(lists)
+    order = []
+    key = len(lists)   # insertion keys after the first sends
+    while queue:
+        f = queue[0][2]
+        i = nxt[f]
+        order.append(start[f] + i)
+        nxt[f] = i = i + 1
+        if i < len(lists[f]):
+            heapq.heapreplace(queue, (lists[f][i], key, f))
+        else:
+            heapq.heappop(queue)
+        key += 1
+    rank = np.empty(len(flow), dtype=np.int64)
+    rank[order] = np.arange(len(flow))
+    return (rank,)
+
+
+def arrival_schedule(send_us: list[np.ndarray], arrival_us: list[np.ndarray]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(arrival instant, flow, trace index) of every frame, in the order they arrive.
+
+    ``send_us[f]`` and ``arrival_us[f]`` are flow ``f``'s int64 send and
+    arrival instants in trace order. Frames that arrive at one instant
+    arrive in the order they were sent. Flows and indices are int32.
+    """
+    if not send_us:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.astype(np.int32), empty.astype(np.int32)
+    flow = np.repeat(np.arange(len(send_us), dtype=np.int32), [len(s) for s in send_us])
+    idx = np.concatenate([np.arange(len(s), dtype=np.int32) for s in send_us])
+    instants = np.concatenate(arrival_us)
+    order = np.lexsort((*_send_keys(send_us, flow, idx), instants))
+    return instants[order], flow[order], idx[order]
 
 
 @dataclass
@@ -67,19 +129,18 @@ class _FlowRuntime:
     tracker: FlowDelayState
     stats: ArrivalServiceStats
     jitter_rng: np.random.Generator
-    next_send: int = 0
     # acks in the order the server hears them: (heard_at_us, send index acked);
     # once heard, the head is the freshest ack the server knows of
     acks: deque[tuple[int, int]] = field(default_factory=deque)
+    # marks of sends whose frames were overtaken: send index -> (rtt_ms, offset)
+    stash: dict[int, tuple[float, int]] = field(default_factory=dict)
     last_arrival_us: Optional[int] = None
     current_rate_bps: float = 0.0
     v_prev_ms: Optional[float] = None
-    generated: int = 0
+    generated: int = 0   # sends stamped so far, which are the first ``generated`` of the trace
     arrived: int = 0
     forwarded: int = 0
     dropped: int = 0
-    in_flight: int = 0
-    in_transit: int = 0   # committed to the link, departure pending
 
 
 @dataclass
@@ -161,6 +222,11 @@ class Simulation:
                     raise ConfigError(f"trace_files: {exc}") from exc
             else:
                 trace = cached_trace(config.trace_params(f), config.seed)
+            if trace.frames and not trace.frames[-1].send_time_ms <= MAX_SEND_MS:
+                source = "trace_files" if config.trace_files else "video_s"
+                raise ConfigError(f"{source}: flow {f} sends at "
+                                  f"{trace.frames[-1].send_time_ms!r} ms, past the "
+                                  f"simulator's clock of {MAX_SEND_MS!r} ms")
             self.flows[f] = _FlowRuntime(
                 trace=trace,
                 queue=FrameQueue(
@@ -193,36 +259,22 @@ class Simulation:
         self.st_log: list[tuple] = []
         self.event_log: list[tuple] = []
 
-        self._heap: list[tuple] = []   # (time_us, kind, seq, flow, data)
-        self._seq = itertools.count(1)
-        self._last_time = 0
-        self.link_busy_until_us = 0
-
-        for f, rt in self.flows.items():
-            if rt.trace.frames:
-                self._push(self._frame_send_us(rt, 0), EV_SEND, f, 0)
-        if self.flows:
-            self._push(0, EV_STI, -1, None)
-            self._push(self.delta_us, EV_LTI, -1, None)
+        # the slice on the link: when it ends, its flow, and the frame it completes
+        self._link_end = NEVER
+        self._link_flow = -1
+        self._link_frame: Optional[QueuedFrame] = None
+        self._last_arrival_us = -1   # set by run()
 
     # -- helpers ----------------------------------------------------------
-
-    def _push(self, time_us: int, kind: int, flow: int, data: Any) -> None:
-        heapq.heappush(self._heap, (time_us, kind, next(self._seq), flow, data))
-
-    def _frame_send_us(self, rt: _FlowRuntime, idx: int) -> int:
-        return int(round(rt.trace.frames[idx].send_time_ms * US_PER_MS))
 
     def _interval_of(self, t_us: int) -> int:
         return max(1, -(-t_us // self.delta_us))
 
     def _work_remaining(self, now_us: int) -> bool:
-        if self.link_busy_until_us > now_us:
+        # a tick runs after the link end and the arrivals of its instant
+        if self._link_end != NEVER or self._last_arrival_us > now_us:
             return True
-        for rt in self.flows.values():
-            if rt.next_send < len(rt.trace.frames) or rt.in_flight or len(rt.queue) or rt.in_transit:
-                return True
-        return False
+        return any(len(rt.queue) for rt in self.flows.values())
 
     def _assert_budget(self, total_bps: float) -> None:
         if total_bps > self.link_bps * (1.0 + 1e-9):
@@ -230,13 +282,10 @@ class Simulation:
 
     def _commit_to_link(self, now_us: int, flow: int, frame: QueuedFrame,
                         nbytes: int, completed: bool) -> None:
-        # a slice is at least one byte, so two link events never share an instant
-        start = max(now_us, self.link_busy_until_us)
-        tx_us = int(math.ceil(nbytes * 8 * US_PER_S / self.link_bps))
-        self.link_busy_until_us = start + tx_us
-        if completed:
-            self.flows[flow].in_transit += 1
-        self._push(self.link_busy_until_us, EV_LINK, flow, frame if completed else None)
+        # a slice is at least one byte, so it ends after the instant it starts
+        self._link_end = now_us + int(math.ceil(nbytes * 8 * US_PER_S / self.link_bps))
+        self._link_flow = flow
+        self._link_frame = frame if completed else None
 
     def _drop(self, now_us: int, flow: int, frame_meta: FrameMeta) -> None:
         rt = self.flows[flow]
@@ -254,41 +303,41 @@ class Simulation:
 
     # -- event handlers ---------------------------------------------------
 
-    def _on_send(self, now_us: int, flow: int, idx: int) -> None:
-        rt = self.flows[flow]
-        meta = rt.trace.frames[idx]
+    def _stamp(self, rt: _FlowRuntime) -> tuple[float, int]:
+        """Make the flow's next send: the (RTT, reference offset) mark the server puts on it.
 
-        # an ack heard at this very instant reaches the server after the send
+        Every ack heard before the send instant is in ``rt.acks`` by now;
+        an ack heard at or after it, this very instant included, reached
+        the server after the send and is skipped.
+        """
+        idx = rt.generated
+        rt.generated += 1
+        send_us = int(round(rt.trace.frames[idx].send_time_ms * US_PER_MS))
         acks = rt.acks
-        while len(acks) > 1 and acks[1][0] < now_us:
+        while len(acks) > 1 and acks[1][0] < send_us:
             acks.popleft()
-        rtt_ms, ref_offset = 0.0, 0
-        if acks and acks[0][0] < now_us:
+        if acks and acks[0][0] < send_us:
             heard_at_us, ref_idx = acks[0]
             offset = idx - ref_idx
             if 1 <= offset <= 255:
                 # frames are sent in trace order and trace ids never repeat,
                 # so the acked frame's trace index is its send index
                 rtt = heard_at_us / US_PER_MS - rt.trace.frames[ref_idx].send_time_ms
-                rtt_ms, ref_offset = float(saturate_ms(rtt)), offset
+                return float(saturate_ms(rtt)), offset
+        return 0.0, 0
 
-        rt.generated += 1
-        rt.in_flight += 1
-        arrival = inject_delay(now_us, self.server_delay_ms, self.jitter_mean_ms,
-                               rt.jitter_rng)
-        # the option's fields as the bottleneck reads them off the wire
-        self._push(arrival, EV_ARRIVAL, flow,
-                   (meta, float(saturate_ms(meta.deadline_ms)), rtt_ms, ref_offset, idx))
-
-        rt.next_send = idx + 1
-        if rt.next_send < len(rt.trace.frames):
-            self._push(self._frame_send_us(rt, rt.next_send), EV_SEND, flow, rt.next_send)
-
-    def _on_arrival(self, now_us: int, flow: int, data: tuple) -> None:
+    def _on_arrival(self, now_us: int, flow: int, idx: int) -> None:
         rt = self.flows[flow]
-        meta, ddl_ms, rtt_ms, ref_offset, idx = data
-        rt.in_flight -= 1
         rt.arrived += 1
+        if idx < rt.generated:   # overtaken: stamped when the frame that overtook it arrived
+            rtt_ms, ref_offset = rt.stash.pop(idx)
+        else:
+            for j in range(rt.generated, idx):   # the sends it overtook, still on their way
+                rt.stash[j] = self._stamp(rt)
+            rtt_ms, ref_offset = self._stamp(rt)
+        meta = rt.trace.frames[idx]
+        # the option's deadline as the bottleneck reads it off the wire
+        ddl_ms = float(saturate_ms(meta.deadline_ms))
 
         tracker = rt.tracker
         tracker.on_arrival(meta.id, meta.id.c, ddl_ms, rtt_ms, ref_offset)
@@ -306,11 +355,13 @@ class Simulation:
         # keep the link busy when credit is already available
         self._kick(now_us)
 
-    def _on_link(self, now_us: int, flow: int, frame: Optional[QueuedFrame]) -> None:
+    def _on_link(self, now_us: int) -> None:
         """A slice finished serializing: depart the frame it completed, if any, and serve on."""
+        frame = self._link_frame
+        self._link_end, self._link_frame = NEVER, None
         if frame is not None:
+            flow = self._link_flow
             rt = self.flows[flow]
-            rt.in_transit -= 1
             rt.forwarded += 1
             meta = frame.meta
             q_ms = (now_us - frame.t_arrival_us) / US_PER_MS
@@ -364,18 +415,18 @@ class Simulation:
                  self.lt_decision.rate_bps[f])
             )
 
-    def _on_lti(self, now_us: int, _flow, _data) -> None:
+    def _on_lti(self, now_us: int) -> int:
+        """The long tick; returns when the next one is due."""
         self._tracker_debug(self._interval_of(now_us))
         if self.policy.uses_st:
             self._run_lt_allocation(now_us, self.config.delta_s)
-        if self._work_remaining(now_us):
-            self._push(now_us + self.delta_us, EV_LTI, -1, None)
+        return now_us + self.delta_us if self._work_remaining(now_us) else NEVER
 
-    def _on_sti(self, now_us: int, _flow, _data) -> None:
+    def _on_sti(self, now_us: int) -> int:
+        """The short tick; returns when the next one is due."""
         self._tick(self, now_us)
         self._kick(now_us)
-        if self._work_remaining(now_us):
-            self._push(now_us + self.tick_us, EV_STI, -1, None)
+        return now_us + self.tick_us if self._work_remaining(now_us) else NEVER
 
     def _rr_tick(self, now_us: int) -> None:
         self._sweep_queues(now_us)
@@ -434,7 +485,7 @@ class Simulation:
         than the tick that granted the credit.
         """
         queues = self._queues
-        while self.link_busy_until_us <= now_us:
+        while self._link_end == NEVER:
             act = self.forwarder.next_action(queues, now_us)
             if act is None:
                 return
@@ -447,28 +498,63 @@ class Simulation:
 
     def _check_conservation(self) -> None:
         for f, rt in self.flows.items():
-            outstanding = rt.in_flight + len(rt.queue) + rt.in_transit
+            on_link = self._link_frame is not None and self._link_flow == f
+            # stamped sends still on their way are the stashed ones
+            outstanding = len(rt.stash) + len(rt.queue) + on_link
             if rt.generated != rt.forwarded + rt.dropped + outstanding:
                 raise AssertionError(
                     f"flow {f}: generated {rt.generated} != forwarded {rt.forwarded} "
                     f"+ dropped {rt.dropped} + outstanding {outstanding}"
                 )
 
+    def _arrival_schedule(self) -> tuple[memoryview, memoryview, memoryview]:
+        """Every frame's arrival as (instant, flow, trace index), in arrival order.
+
+        Views whose items read back as Python ints; the instants end with a
+        ``NEVER`` sentinel.
+        """
+        sends, arrivals = [], []
+        for rt in self.flows.values():
+            frames = rt.trace.frames
+            send_ms = np.fromiter((m.send_time_ms for m in frames), np.float64, len(frames))
+            send_us = np.rint(send_ms * US_PER_MS).astype(np.int64)
+            sends.append(send_us)
+            arrivals.append(arrival_instants(send_us, self.server_delay_ms,
+                                             self.jitter_mean_ms, rt.jitter_rng))
+        instants, flows, idxs = arrival_schedule(sends, arrivals)
+        return memoryview(np.append(instants, NEVER)), memoryview(flows), memoryview(idxs)
+
     def run(self) -> RunResult:
-        handlers = {
-            EV_LINK: self._on_link,
-            EV_SEND: self._on_send,
-            EV_ARRIVAL: self._on_arrival,
-            EV_LTI: self._on_lti,
-            EV_STI: self._on_sti,
-        }
-        while self._heap:
-            time_us, kind, _, flow, data = heapq.heappop(self._heap)
-            if time_us < self._last_time:
+        arrival_us, arrival_flow, arrival_idx = self._arrival_schedule()
+        self._last_arrival_us = arrival_us[-2] if len(arrival_us) > 1 else -1
+        k = 0
+        lti_us, sti_us = (self.delta_us, 0) if self.flows else (NEVER, NEVER)
+        tick_us = min(lti_us, sti_us)
+        on_link, on_arrival = self._on_link, self._on_arrival
+        check, last = self.check_invariants, 0
+        while True:
+            # at one instant: the link end, the arrivals, the long tick, the short tick
+            t_link, t_arrival = self._link_end, arrival_us[k]
+            if t_link <= t_arrival and t_link <= tick_us:
+                if t_link == NEVER:
+                    break
+                now = t_link
+                on_link(now)
+            elif t_arrival <= tick_us:
+                now = t_arrival
+                on_arrival(now, arrival_flow[k], arrival_idx[k])
+                k += 1
+            else:
+                now = tick_us
+                if lti_us <= sti_us:
+                    lti_us = self._on_lti(now)
+                else:
+                    sti_us = self._on_sti(now)
+                tick_us = min(lti_us, sti_us)
+            if now < last:
                 raise AssertionError("event time went backwards")
-            self._last_time = time_us
-            handlers[kind](time_us, flow, data)
-            if self.check_invariants:
+            last = now
+            if check:
                 self._check_conservation()
 
         self.collector.unmatched_marks = sum(

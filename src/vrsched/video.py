@@ -162,7 +162,10 @@ def read_trace(path: str | Path) -> FlowTrace:
     nondecreasing, deadlines finite, no frame id repeated, and every id
     within the wire's chunk, tile and GoP position fields.
     """
-    text = Path(path).read_text().strip().splitlines()
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except (OSError, ValueError) as exc:   # unreadable, or not UTF-8
+        raise ValueError(f"{path}: not a readable UTF-8 trace file ({exc})") from exc
     if not text or text[0] != TRACE_HEADER:
         raise ValueError(f"{path}: missing trace header '{TRACE_HEADER}'")
     flow: Optional[int] = None

@@ -2,12 +2,14 @@
 
 import bisect
 import copy
+import heapq
+import itertools
 
 from vrsched.allocation import ArrivalServiceStats
 from vrsched.delay import FlowDelayState
 from vrsched.forwarder import SendAction
 from vrsched.frame_queue import QueuedFrame, tolerable_time
-from vrsched.video import FrameId, FrameMeta
+from vrsched.video import US_PER_MS, FrameId, FrameMeta
 
 
 def make_frame(
@@ -131,3 +133,40 @@ def mark_ref(tracker, offset, chunk, ddl_ms):
     seen = spy_marks(probe)
     probe.on_arrival(FrameId(0xFFFF, 0xFF, 0xFF), chunk, ddl_ms, 1.0, offset)
     return seen[0][0] if seen else None
+
+
+def inject_delay(t_send_us, server_delay_ms, jitter_mean_ms, rng) -> int:
+    """One frame's bottleneck arrival instant, its jitter drawn on its own.
+
+    The scalar reference for :func:`vrsched.sim.arrival_instants`; ``rng``
+    is drawn only when ``jitter_mean_ms`` is positive.
+    """
+    delay_ms = server_delay_ms
+    if jitter_mean_ms > 0:
+        delay_ms += rng.exponential(jitter_mean_ms)
+    return t_send_us + int(round(delay_ms * US_PER_MS))
+
+
+def replay_arrival_order(send_us, arrival_us):
+    """(flow, trace index) of each frame in the order an event heap delivers its arrivals.
+
+    The reference for :func:`vrsched.sim.arrival_schedule`. Events are keyed
+    by (instant, kind, insertion sequence), a send before an arrival at one
+    instant. Each flow's first send is queued up front in flow order; a send
+    queues its frame's arrival, then its flow's next send.
+    """
+    send, arrival = 1, 2
+    heap, seq = [], itertools.count()
+    for f, sends in enumerate(send_us):
+        if len(sends):
+            heapq.heappush(heap, (sends[0], send, next(seq), f, 0))
+    order = []
+    while heap:
+        _, kind, _, f, i = heapq.heappop(heap)
+        if kind == arrival:
+            order.append((f, i))
+            continue
+        heapq.heappush(heap, (arrival_us[f][i], arrival, next(seq), f, i))
+        if i + 1 < len(send_us[f]):
+            heapq.heappush(heap, (send_us[f][i + 1], send, next(seq), f, i + 1))
+    return order

@@ -231,6 +231,15 @@ class TestBadInput:
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_trace_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["run", "--override", "n_flows=1", "--override", f"trace_files={path}",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: trace_files: {path}: not a readable UTF-8 trace file (" in err
+        assert not (tmp_path / "o").exists()
+
     def test_gen_trace_rejects_a_flow_outside_the_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["gen-trace", "--config", str(cfg), "--flow", "2",

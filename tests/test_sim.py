@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vrsched.config import SimConfig
-from vrsched.sim import Simulation, inject_delay, run
+from helpers import inject_delay, replay_arrival_order
+from vrsched.config import ConfigError, SimConfig
+from vrsched.sim import Simulation, arrival_instants, arrival_schedule, run
 from vrsched.traffic import generate_trace
 from vrsched.video import TRACE_HEADER, write_trace
 
@@ -30,21 +32,27 @@ def delay_args(cfg):
 
 
 class TestInjectDelay:
+    """Arrival instants drawn for a whole flow at once, as the simulator does."""
+
+    @staticmethod
+    def instants(send_us, cfg, rng):
+        return arrival_instants(np.asarray(send_us, dtype=np.int64), *delay_args(cfg), rng)
+
     def test_stable_is_constant(self):
         cfg = SimConfig(server_delay_ms=10.0, regime="stable")
         rng = np.random.default_rng(0)
-        assert inject_delay(1000, *delay_args(cfg), rng) == 1000 + 10_000
+        assert self.instants([1000, 1000, 5000], cfg, rng).tolist() == [11_000, 11_000, 15_000]
 
     def test_zero_jitter_degenerates_to_stable(self):
         cfg = SimConfig(server_delay_ms=10.0, regime="unstable", jitter_mean_ms=0.0)
         rng = np.random.default_rng(0)
-        assert inject_delay(1000, *delay_args(cfg), rng) == 1000 + 10_000
+        assert self.instants([1000], cfg, rng).tolist() == [1000 + 10_000]
 
     def test_jitter_empirical_mean(self):
         cfg = SimConfig(server_delay_ms=0.0, regime="unstable", jitter_mean_ms=15.0)
         rng = np.random.default_rng(42)
-        args = delay_args(cfg)
-        extra = [inject_delay(0, *args, rng) for _ in range(100_000)]
+        extra = self.instants(np.zeros(100_000), cfg, rng)
+        assert extra.dtype == np.int64
         assert np.mean(extra) / 1000.0 == pytest.approx(15.0, rel=0.02)
 
     @pytest.mark.parametrize("regime,jitter_mean_ms", [
@@ -54,8 +62,107 @@ class TestInjectDelay:
         cfg = SimConfig(regime=regime, jitter_mean_ms=jitter_mean_ms)
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        inject_delay(0, *delay_args(cfg), rng)
+        self.instants([0, 10, 20], cfg, rng)
         assert rng.bit_generator.state == state
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        server_delay_ms=st.floats(0.0, 1000.0),
+        jitter_mean_ms=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+        gaps=st.lists(st.integers(0, 50_000), max_size=40),
+    )
+    def test_vector_draws_equal_one_draw_per_send(self, seed, server_delay_ms,
+                                                  jitter_mean_ms, gaps):
+        send_us = np.cumsum(np.array(gaps, dtype=np.int64))
+        vector_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        state = vector_rng.bit_generator.state
+        got = arrival_instants(send_us, server_delay_ms, jitter_mean_ms, vector_rng)
+        want = [inject_delay(int(t), server_delay_ms, jitter_mean_ms, scalar_rng)
+                for t in send_us]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert vector_rng.bit_generator.state == scalar_rng.bit_generator.state
+        if jitter_mean_ms == 0.0:
+            assert vector_rng.bit_generator.state == state
+
+
+@st.composite
+def schedules(draw):
+    """Small per-flow send and arrival instants, with many ties.
+
+    Flows share one send grid, or each draws its own, repeated instants
+    included. Jitter is off (one constant delay), small integer delays
+    (overtaking and arrival ties), or drawn as the simulator draws it.
+    """
+    n_flows = draw(st.integers(1, 4))
+    instants = st.lists(st.integers(0, 4), max_size=8).map(lambda g: np.cumsum(g))
+    if draw(st.booleans()):
+        grid = draw(instants)
+        send = [grid[:draw(st.integers(0, len(grid)))] for _ in range(n_flows)]
+    else:
+        send = [draw(instants) for _ in range(n_flows)]
+    send = [np.asarray(s, dtype=np.int64) for s in send]
+    jitter = draw(st.sampled_from(["off", "small", "drawn"]))
+    if jitter == "off":
+        delay = draw(st.integers(0, 3))
+        arrival = [s + delay for s in send]
+    elif jitter == "small":
+        arrival = [s + np.asarray(draw(st.lists(st.integers(0, 6), min_size=len(s),
+                                                max_size=len(s))), dtype=np.int64)
+                   for s in send]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        arrival = [arrival_instants(s * 1000, 1.0, 2.0, rng) for s in send]
+        send = [s * 1000 for s in send]
+    return send, arrival
+
+
+# SHA-256 of repr((event_log, lt_log, st_log)) + summary_csv() for two flows
+# on offset send grids (tests/golden/offset_grid_flow*.csv), stable regime.
+OFFSET_GRID_DIGESTS = {
+    ("edf", 10.0): "f012e568daf1d0d4630f29c9857aa9df7aefe150918e5a4d33addac2def60773",
+    ("edf", 40.0): "3f2d36cab92d7862767ebed7edeb7ce58c3bfc784ad2d18e0c971093372a947e",
+    ("proposed", 10.0): "cc77ce495540833e14f0a285f87edd2461a65a626a356b4c60cb8743a4a35423",
+    ("proposed", 40.0): "c5090d9733e79aba5c079ff6517b5d9828e29d906e462d5dc15cc8d97a48b4d6",
+    ("rr", 10.0): "2488ea9c849685923674dc21e0824c91d0d441c28a80e24f2b34996e124d963d",
+    ("rr", 40.0): "c4b6ae0652ae268906433442b152011cf5b65907fc7362bf9030991966d5683b",
+}
+
+
+class TestArrivalOrder:
+    """Frames arriving at one instant arrive in the order their sends were made."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(schedules())
+    def test_order_equals_the_event_heap_replay(self, schedule):
+        send, arrival = schedule
+        instants, flows, idxs = arrival_schedule(send, arrival)
+        order = list(zip(flows.tolist(), idxs.tolist()))
+        assert order == replay_arrival_order(send, arrival)
+        assert instants.tolist() == [int(arrival[f][i]) for f, i in order]
+
+    def test_no_flows_no_arrivals(self):
+        assert all(len(a) == 0 for a in arrival_schedule([], []))
+
+    @pytest.mark.parametrize("policy,bottleneck_mbps", sorted(OFFSET_GRID_DIGESTS))
+    def test_offset_grids_match_pinned_digest(self, policy, bottleneck_mbps):
+        # flow 0 sends at 5, 10, 20, ... ms and flow 1 at 0, 10, 20, ... ms,
+        # so from 10 ms on the two arrive together and flow 1 goes first
+        paths = tuple(str(GOLDEN / f"offset_grid_flow{f}.csv") for f in (0, 1))
+        cfg = SimConfig(n_flows=2, trace_files=paths, bottleneck_mbps=bottleneck_mbps,
+                        policy=policy)
+        result = run(cfg, log_events=True)
+        text = repr((result.event_log, result.lt_log, result.st_log)) + result.summary_csv()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == OFFSET_GRID_DIGESTS[(policy, bottleneck_mbps)]
+
+    def test_flow_tie_is_not_the_rule(self):
+        # flow 1 sends at 0 and 10, flow 0 at 5 and 10: at 10, flow 1 sends
+        # first, because its previous send was made first
+        send = [np.array([5, 10]), np.array([0, 10])]
+        _, flows, idxs = arrival_schedule(send, [s + 10 for s in send])
+        assert list(zip(flows.tolist(), idxs.tolist())) == [(1, 0), (0, 0), (1, 1), (0, 1)]
 
 
 class TestRuns:
@@ -150,6 +257,31 @@ class TestRuns:
         assert tracker.unmatched_marks == 0
         assert tracker.net_state_ms == 30.0   # 31 ms RTT less 1 ms queued
 
+    def test_overtaken_sends_keep_their_marks(self):
+        # jitter lets a frame overtake earlier sends of its flow; their marks
+        # are stamped at that arrival and held until their own
+        class Stash(dict):
+            held = 0
+
+            def __setitem__(self, key, value):
+                Stash.held += 1
+                super().__setitem__(key, value)
+
+        cfg = small_config(regime="unstable", jitter_mean_ms=40.0, bottleneck_mbps=4.0)
+        sim = Simulation(cfg)
+        for rt in sim.flows.values():
+            rt.stash = Stash()
+        result = sim.run()
+        assert Stash.held > 0
+        # the conservation check runs after every event
+        checked = Simulation(cfg, check_invariants=True).run()
+        assert checked.summary_csv() == result.summary_csv()
+        for f, rt in sim.flows.items():
+            counters = checked.flow_counters[f]
+            assert counters["generated"] == counters["arrived"] == len(rt.trace.frames)
+            assert counters["forwarded"] + counters["dropped"] == counters["generated"]
+            assert not rt.stash
+
     def test_edf_single_flow_serves_in_fifo_order(self):
         cfg = small_config(n_flows=1, bitrate_mbps_min=2.0, bitrate_mbps_max=2.0,
                            bottleneck_mbps=10.0, policy="edf")
@@ -175,6 +307,29 @@ class TestRuns:
         assert len(rows) == n * 2
         header = result.metrics_csv().splitlines()[0]
         assert header.startswith("n,flow,quality_loss")
+
+
+class TestClockRange:
+    """Send instants past the int64 microsecond clock are refused, not wrapped."""
+
+    def test_trace_file_send_past_the_clock(self, tmp_path):
+        path = tmp_path / "flow0.csv"
+        path.write_text(TRACE_HEADER + "\n0,1,1,1,1000,0.5,1000.0,1e300\n")
+        with pytest.raises(ConfigError, match="trace_files: flow 0 sends at 1e[+]300 ms"):
+            Simulation(SimConfig(n_flows=1, trace_files=(str(path),)))
+
+    def test_generated_send_past_the_clock(self):
+        # one 6-frame chunk lasting 1e300 s, at a bitrate that keeps it small
+        cfg = SimConfig(n_flows=1, video_s=1e300, chunk_s=1e300, fps=6e-300,
+                        bitrate_mbps_min=1e-295, bitrate_mbps_max=1e-295)
+        with pytest.raises(ConfigError, match="video_s: flow 0 sends at"):
+            Simulation(cfg)
+
+    def test_last_send_on_the_clock_runs(self, tmp_path):
+        path = tmp_path / "flow0.csv"
+        path.write_text(TRACE_HEADER + "\n0,1,1,1,1000,0.5,1000.0,0.0\n")
+        result = run(SimConfig(n_flows=1, trace_files=(str(path),)))
+        assert result.flow_counters[0]["forwarded"] == 1
 
 
 class TestEveryRunEnds:

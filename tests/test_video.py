@@ -180,6 +180,13 @@ class TestTraceFile:
         with pytest.raises(ValueError):
             read_trace(path)
 
+    def test_file_that_is_not_utf8_names_its_path(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError) as info:
+            read_trace(path)
+        assert str(info.value).startswith(f"{path}: not a readable UTF-8 trace file (")
+
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_trace(self._trace(), path)
