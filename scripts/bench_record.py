@@ -11,7 +11,7 @@ names. Example, a parent commit against the working tree:
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python scripts/bench_record.py --number 13 --tree parent=../parent \\
-        --tree change=. --runs 10 --seconds 30
+        --tree change=. --runs 10
 """
 
 from __future__ import annotations
@@ -98,7 +98,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=names,
                         help="default: every workload in BENCHMARK.json")
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
+    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]),
+                        help="the benchmark's run length, or 0 for one pass of each "
+                             "workload (a smoke run)")
     parser.add_argument("--seed", type=int, default=1, help="run j uses seed + j")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
@@ -110,8 +112,11 @@ def main(argv=None) -> int:
         trees[label] = Path(path).resolve()
     if len(trees) > 2:
         parser.error("--tree: at most two checkouts")
-    if args.runs < 1 or args.seconds < 0 or args.seed < 0:
-        parser.error("--runs must be at least 1; --seconds and --seed nonnegative")
+    if args.runs < 1 or args.seed < 0:
+        parser.error("--runs must be at least 1 and --seed nonnegative")
+    if args.seconds not in (0, spec["run_seconds"]):
+        parser.error(f"--seconds: BENCHMARK.json sets the run length, {spec['run_seconds']}; "
+                     "0 makes a smoke run")
     out = record(spec, trees, args.workload or names, args.runs, args.seconds, args.seed)
     path = args.out_dir / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

@@ -22,7 +22,7 @@ from .delay import EwmaStat, FlowDelayState
 from .forwarder import DwrrForwarder, EdfForwarder
 from .frame_queue import FrameQueue, QueuedFrame, forward_prefix, tolerable_time
 from .scheduling import FlowStInput, StDecision, classify, compensate, schedule_st, utility
-from .sim import RunResult, Simulation, arrival_instants, arrival_schedule, run
+from .sim import RunResult, Simulation, run
 from .traffic import TraceParams, generate_trace, viewing_probability_walk
 from .video import (
     FlowTrace,

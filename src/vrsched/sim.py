@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,44 +65,36 @@ def arrival_instants(send_us: np.ndarray, server_delay_ms: float, jitter_mean_ms
     return send_us + np.rint(np.multiply(delay_ms, US_PER_MS)).astype(np.int64)
 
 
-def _send_keys(send_us: list[np.ndarray], flow: np.ndarray, idx: np.ndarray
-               ) -> tuple[np.ndarray, ...]:
-    """Sort keys, least significant first, that order sends as the servers make them.
+def _send_rank(send_us: list[np.ndarray], n: int) -> np.ndarray:
+    """Each send's rank in the order the servers make them.
 
-    ``flow`` and ``idx`` give the flow and trace index of each entry of the
-    flows' concatenated send instants. The order is that of a send queue
-    keyed by (instant, insertion order) into which each flow's first send
-    goes up front, in flow order, and each later send when its flow's
-    previous send is made. So at one instant a flow's first send comes
-    first, and any other send follows the previous send of its flow: a tie
-    on (instant, flow) is not the same rule.
+    Entries are indexed as the flows' concatenated send instants, ``n`` of
+    them. The order is that of a send queue keyed by (instant, insertion
+    order) into which each flow's first send goes up front, in flow order,
+    and each later send when its flow's previous send is made. So at one
+    instant a flow's first send comes first, and any other send follows the
+    previous send of its flow: a tie on (instant, flow) is not the same rule.
     """
-    longest = max(send_us, key=len)
-    if all(np.array_equal(s, longest[:len(s)]) for s in send_us):
-        # one grid: at an instant, every flow's chain of earlier sends is the
-        # same, so the lower trace index goes first, then the lower flow; and
-        # on one grid, the order of trace indices is the order of instants
-        return flow, idx
-    lists = [s.tolist() for s in send_us]
-    start = np.cumsum([0] + [len(s) for s in lists]).tolist()
-    queue = [(s[0], f, f) for f, s in enumerate(lists) if s]   # (instant, key, flow)
+    sends = [memoryview(s) for s in send_us]   # items read back as Python ints
+    start = np.cumsum([0] + [len(s) for s in sends]).tolist()
+    queue = [(s[0], f, f) for f, s in enumerate(sends) if len(s)]   # (instant, key, flow)
     heapq.heapify(queue)
-    nxt = [0] * len(lists)
-    order = []
-    key = len(lists)   # insertion keys after the first sends
+    nxt = [0] * len(sends)
+    order = array("q")
+    key = len(sends)   # insertion keys after the first sends
     while queue:
         f = queue[0][2]
         i = nxt[f]
         order.append(start[f] + i)
         nxt[f] = i = i + 1
-        if i < len(lists[f]):
-            heapq.heapreplace(queue, (lists[f][i], key, f))
+        if i < len(sends[f]):
+            heapq.heapreplace(queue, (sends[f][i], key, f))
         else:
             heapq.heappop(queue)
         key += 1
-    rank = np.empty(len(flow), dtype=np.int64)
-    rank[order] = np.arange(len(flow))
-    return (rank,)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.frombuffer(order, dtype=np.int64)] = np.arange(n)
+    return rank
 
 
 def arrival_schedule(send_us: list[np.ndarray], arrival_us: list[np.ndarray]
@@ -118,7 +111,7 @@ def arrival_schedule(send_us: list[np.ndarray], arrival_us: list[np.ndarray]
     flow = np.repeat(np.arange(len(send_us), dtype=np.int32), [len(s) for s in send_us])
     idx = np.concatenate([np.arange(len(s), dtype=np.int32) for s in send_us])
     instants = np.concatenate(arrival_us)
-    order = np.lexsort((*_send_keys(send_us, flow, idx), instants))
+    order = np.lexsort((_send_rank(send_us, len(flow)), instants))
     return instants[order], flow[order], idx[order]
 
 

@@ -39,3 +39,14 @@ def test_rejects_a_tree_that_is_not_a_checkout(tmp_path):
     assert proc.returncode == 2
     assert "--tree" in proc.stderr
     assert not (tmp_path / "BENCH_0.json").exists()
+
+
+def test_refuses_a_run_length_the_benchmark_does_not_set(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--number", "0", "--seconds", "20",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "--seconds" in proc.stderr
+    assert not (tmp_path / "BENCH_0.json").exists()
