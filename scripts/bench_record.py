@@ -2,14 +2,15 @@
 """Record the benchmark's end-to-end metrics in a committed BENCH_<n>.json.
 
 Runs ``perfbench/run.py`` untraced on each workload, ``--runs`` times per
-checkout, and writes the host fingerprint, each checkout's commit and
-source hash, the Python version, and each end-to-end metric's values,
-median and quartiles. Given two checkouts, the runs go in pairs on one seed
-each, alternating which checkout runs first, and the file counts the pairs
-the second checkout wins on each metric, in the direction BENCHMARK.json
-names. Example, a parent commit against the working tree:
+checkout, and writes the host fingerprint, each checkout's commit, whether
+its ``src/`` is that commit's, its source hash, the Python version, and
+each end-to-end metric's values, median and quartiles. Given two
+checkouts, the runs go in pairs on one seed each, alternating which
+checkout runs first, and the file counts the pairs the second checkout
+wins on each metric, in the direction BENCHMARK.json names. Example, the
+parent commit against the one checked out:
 
-    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python scripts/bench_record.py --number 13 --tree parent=../parent \\
         --tree change=. --runs 10
 """
@@ -42,6 +43,29 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"host": host, "result": json.loads(lines[-1])}
 
 
+def tree_commit(tree: Path) -> dict:
+    """The commit checked out in ``tree``, and whether its ``src/`` is that commit's.
+
+    ``src_matches_commit`` is false when ``git status`` lists any change
+    under ``src/``, tracked or not, and when ``tree`` is not the top of a
+    git checkout.
+    """
+    def git(*args: str) -> str | None:
+        try:
+            proc = subprocess.run(["git", "-C", str(tree), *args],
+                                  capture_output=True, text=True, check=False)
+        except OSError:   # no git on this host
+            return None
+        return proc.stdout if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top.strip()).resolve() != tree.resolve():
+        return {"commit": "unknown (not a git checkout)", "src_matches_commit": False}
+    status = git("status", "--porcelain", "--", "src")
+    return {"commit": git("rev-parse", "HEAD").strip(),
+            "src_matches_commit": status is not None and not status.strip()}
+
+
 def summarize(values: list[float]) -> dict:
     if len(values) > 1:
         q1, med, q3 = statistics.quantiles(values, n=4)
@@ -57,7 +81,8 @@ def record(spec: dict, trees: dict[str, Path], workloads: list[str], runs: int,
     labels = list(trees)
     settings = {"runs": runs, "seconds": seconds, "seeds": [seed + j for j in range(runs)]}
     out: dict = {"host": None, "python": platform.python_version(), "settings": settings,
-                 "trees": {}, "workloads": {}}
+                 "trees": {label: tree_commit(tree) for label, tree in trees.items()},
+                 "workloads": {}}
     for workload in workloads:
         values: dict[str, dict[str, list[float]]] = {label: {} for label in labels}
         failed = {label: 0 for label in labels}
@@ -68,8 +93,7 @@ def record(spec: dict, trees: dict[str, Path], workloads: list[str], runs: int,
                 host = got["host"]
                 if out["host"] is None:
                     out["host"] = {k: host[k] for k in ("cpu", "nproc", "python", "numpy")}
-                out["trees"][label] = {"commit": host["vrsched_commit"],
-                                       "src_sha256": host["vrsched_src_sha256"]}
+                out["trees"][label]["src_sha256"] = host["vrsched_src_sha256"]
                 failed[label] += got["result"]["failed"]
                 for name, metric in got["result"]["metrics"].items():
                     values[label].setdefault(name, []).append(metric["value"])

@@ -168,15 +168,16 @@ class SimConfig:
             if not Path(path).is_file():
                 raise ConfigError(f"trace_files: no such file '{path}'")
         if self.n_flows:
-            try:
-                self.trace_params(0).validate()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            # flow 0 has the least bitrate; the last flow may have the most
+            # the last flow may have the most bitrate; when its chunk fits,
+            # flow 0's check below cannot fail on bitrate_bps, not a field here
             if not self.bitrate_mbps_max * 1e6 * self.chunk_s / 8.0 <= MAX_CHUNK_BYTES:
                 raise ConfigError(
                     f"bitrate_mbps_max: a chunk would hold more than {MAX_CHUNK_BYTES:g} bytes"
                 )
+            try:
+                self.trace_params(0).validate()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, data: dict[str, Any], source: str = "config") -> "SimConfig":

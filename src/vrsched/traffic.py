@@ -6,6 +6,17 @@ get viewing probability decaying with distance to it, and each chunk ships
 one GoP for each of the most-likely-viewed tiles. Frame sizes follow a
 Gamma distribution calibrated so the flow offers its configured bitrate,
 with I-frames a configurable multiple of the others.
+
+A trace is built as numpy columns, one per frame field, over every frame
+at once: the walk's probabilities for every chunk and tile, each chunk's
+tiles in order of probability, and each frame's size, send instant,
+deadline, importance and id. Each float column is computed with the same
+operations in the same order as the scalar formulas in :mod:`vrsched.video`
+apply to one frame, so every value has the same bits; the scalar random
+draws stay scalar, since array draws would use the stream differently.
+:meth:`TraceParams.validate` bounds the inputs, the columns are checked
+once, and only then are the frame objects made, each field set on every
+frame by one C-level pass over its column.
 """
 
 from __future__ import annotations
@@ -16,15 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .video import (
-    FlowTrace,
-    FrameId,
-    FrameMeta,
-    chunk_deadline,
-    frame_deadline,
-    importance,
-    two_layer_gop,
-)
+from .video import FlowTrace, chunk_deadline, frames_from_columns, two_layer_gop
 from .wire import MAX_CHUNK, MAX_GOP_POS, MAX_TILE
 
 _SIZE_STREAM = 0
@@ -67,16 +70,27 @@ class TraceParams:
         Chunk, tile and GoP position ids must fit the wire's fields. The
         quotients are bounded before ``n_chunks`` and ``frames_per_chunk``
         round them: an infinite one cannot be rounded, and a huge one would
-        build a trace until memory runs out.
+        build a trace until memory runs out. The float fields the frames are
+        computed from must be finite, and a chunk at most ``MAX_CHUNK_BYTES``,
+        so every frame size is a positive int64 and every send time and
+        deadline finite: the frames are not checked one by one.
         """
+        for name in ("bitrate_bps", "i_frame_ratio", "gamma_shape", "uplink_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
         if self.bitrate_bps <= 0:
             raise ValueError(f"bitrate_bps: must be positive, got {self.bitrate_bps}")
         if self.chunk_s <= 0:
             raise ValueError(f"chunk_s: must be positive, got {self.chunk_s}")
+        if self.uplink_ms < 0:
+            raise ValueError(f"uplink_ms: must be nonnegative, got {self.uplink_ms}")
         if not self.video_s / self.chunk_s <= MAX_CHUNK:
             raise ValueError(f"video_s/chunk_s: more than {MAX_CHUNK} chunks")
         if self.n_chunks < 1:
             raise ValueError("video_s/chunk_s: video shorter than one chunk")
+        if not self.bitrate_bps * self.chunk_s / 8.0 <= MAX_CHUNK_BYTES:
+            raise ValueError(f"bitrate_bps/chunk_s: a chunk would hold more than "
+                             f"{MAX_CHUNK_BYTES:g} bytes")
         if not self.fps * self.chunk_s <= MAX_TILE * MAX_GOP_POS:
             raise ValueError(f"fps/chunk_s: more than {MAX_TILE * MAX_GOP_POS} frames per chunk")
         if self.frames_per_chunk < 1:
@@ -124,6 +138,37 @@ def gamma_frame_sizes(
     return np.maximum(1, np.rint(draws)).astype(np.int64)
 
 
+def _walk_probs(
+    n_chunks: int, rows: int, cols: int, rng: np.random.Generator, decay: float, uniform: bool
+) -> np.ndarray:
+    """The walk's probabilities as an ``(n_chunks, rows * cols)`` array; column m-1 is tile m.
+
+    The center is drawn with scalar ``rng.integers`` calls, two after each
+    chunk: array draws would use the stream differently. A tile's
+    probability is read from a table indexed by its row distance and its
+    wrapped column distance to the center, filled with the scalar
+    ``decay ** math.hypot(dr, dc)``, since ``np.hypot`` and ``np.power`` may
+    differ from them in the last bit.
+    """
+    if uniform:
+        return np.ones((n_chunks, rows * cols))
+    row = int(rng.integers(rows))
+    col = int(rng.integers(cols))
+    centers = []
+    for _ in range(n_chunks):
+        centers.append((row, col))
+        row = min(rows - 1, max(0, row + int(rng.integers(-1, 2))))
+        col = (col + int(rng.integers(-1, 2))) % cols
+    center_row, center_col = np.array(centers).T
+    table = np.array([[decay ** math.hypot(dr, dc) for dc in range(cols // 2 + 1)]
+                      for dr in range(rows)])
+    tile_row, tile_col = np.divmod(np.arange(rows * cols), cols)
+    dr = np.abs(tile_row - center_row[:, None])
+    dc = np.abs(tile_col - center_col[:, None])
+    dc = np.where(dc > cols / 2.0, cols - dc, dc)
+    return table[dr, dc]
+
+
 def viewing_probability_walk(
     n_chunks: int,
     rows: int,
@@ -140,26 +185,9 @@ def viewing_probability_walk(
     gets 1.0 and everything stays strictly positive. Uniform mode gives all
     tiles probability 1.
     """
-    probs: list[dict[int, float]] = []
-    if uniform:
-        flat = {r * cols + c + 1: 1.0 for r in range(rows) for c in range(cols)}
-        return [dict(flat) for _ in range(n_chunks)]
-    row = int(rng.integers(rows))
-    col = int(rng.integers(cols))
-    half_cols = cols / 2.0
-    for _ in range(n_chunks):
-        chunk_probs: dict[int, float] = {}
-        for r in range(rows):
-            for c in range(cols):
-                dc = abs(c - col)
-                if dc > half_cols:
-                    dc = cols - dc
-                dist = math.hypot(r - row, dc)
-                chunk_probs[r * cols + c + 1] = decay ** dist
-        probs.append(chunk_probs)
-        row = min(rows - 1, max(0, row + int(rng.integers(-1, 2))))
-        col = (col + int(rng.integers(-1, 2))) % cols
-    return probs
+    tiles = range(1, rows * cols + 1)
+    return [dict(zip(tiles, chunk))
+            for chunk in _walk_probs(n_chunks, rows, cols, rng, decay, uniform).tolist()]
 
 
 def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
@@ -171,6 +199,17 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
     chunk durations after its request, so at steady state a chunk's
     deadline is ``lead`` whole chunk durations and each frame's deadline
     shrinks by its send offset.
+
+    Every field is computed for all frames at once, as a numpy column in
+    (chunk, GoP, position) order: frame j of a chunk is sent at
+    ``t_first + j * gap`` with deadline ``ddl_chunk - (send - t_first)``,
+    and frame k of a GoP on a tile of probability p has importance
+    ``p * n_k / gop_size``. Each column takes the same IEEE operations, in
+    the same order, as :func:`~vrsched.video.frame_deadline` and
+    :func:`~vrsched.video.importance` take on one frame, so every value
+    has the bits those functions give. The frames are made from the
+    columns last, by :func:`~vrsched.video.frames_from_columns`, which
+    checks the sizes and importances once for the whole trace.
     """
     params.validate()
     size_rng = np.random.default_rng(
@@ -181,8 +220,9 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
     )
 
     gop = two_layer_gop(params.gop_size)
-    probs = viewing_probability_walk(
-        params.n_chunks, params.tile_rows, params.tile_cols, walk_rng,
+    n_chunks = params.n_chunks
+    probs = _walk_probs(
+        n_chunks, params.tile_rows, params.tile_cols, walk_rng,
         params.walk_decay, params.uniform_attention,
     )
 
@@ -194,51 +234,48 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
 
     chunk_ms = params.chunk_s * 1000.0
     frame_gap_ms = chunk_ms / n_frames
-    lead = params.request_lead_chunks
+    # the same for every chunk: during pre-roll the countdown runs as if
+    # playback had begun, so the first chunks get the steady-state lead
+    ddl_chunk = chunk_deadline(params.request_lead_chunks, 0, params.chunk_s)
 
     # one draw for the whole trace: the same generator gives the same
     # values in the same order as one draw per GoP
     means = np.full(params.gop_size, unit)
     means[0] *= params.i_frame_ratio
-    n_gops = params.n_chunks * gops
+    n_gops = n_chunks * gops
     sizes = gamma_frame_sizes(
         size_rng, np.tile(means, n_gops), params.gamma_shape, n_gops * params.gop_size
-    ).tolist()
+    )
 
-    frames: list[FrameMeta] = []
-    for c in range(1, params.n_chunks + 1):
-        # during pre-roll the countdown runs as if playback had begun, so
-        # the first chunks get the same lead as the steady state
-        if c > lead:
-            ddl_chunk = chunk_deadline(c, c - lead, params.chunk_s)
-        else:
-            ddl_chunk = chunk_deadline(lead, 0, params.chunk_s)
-        t_request = (c - 1) * chunk_ms
-        t_first = t_request + params.uplink_ms
-        tile_order = sorted(probs[c - 1], key=lambda m: (-probs[c - 1][m], m))
-        j = 0
-        for g in range(gops):
-            tile = tile_order[g]
-            p = probs[c - 1][tile]
-            for k in range(1, params.gop_size + 1):
-                t_send = t_first + j * frame_gap_ms
-                frames.append(
-                    FrameMeta(
-                        id=FrameId(c, tile, k),
-                        size=sizes[len(frames)],
-                        gamma=importance(p, k, gop, params.importance_counts_self),
-                        deadline_ms=frame_deadline(ddl_chunk, t_send, t_first),
-                        send_time_ms=t_send,
-                    )
-                )
-                j += 1
+    # each chunk's GoPs go to its most likely tiles, ties to the lower id:
+    # a stable sort on -p keeps equal tiles in id order
+    tiles = np.argsort(-probs, axis=1, kind="stable")[:, :gops]
+    tile_p = np.take_along_axis(probs, tiles, axis=1)
+    # the frames of a GoP that die with frame k, itself too if it counts
+    lost = np.array([gop.dependents[k] for k in range(1, params.gop_size + 1)])
+    lost += params.importance_counts_self
+    gamma = tile_p[:, :, None] * lost / params.gop_size
 
+    # chunk c is requested at (c - 1) * chunk_ms and its first frame sent uplink_ms later
+    t_first = np.arange(n_chunks) * chunk_ms + params.uplink_ms
+    send = t_first[:, None] + np.arange(n_frames) * frame_gap_ms
+    deadline = ddl_chunk - (send - t_first[:, None])
+
+    ids = zip(
+        np.arange(1, n_chunks + 1).repeat(n_frames).tolist(),
+        (tiles + 1).repeat(params.gop_size, axis=1).ravel().tolist(),
+        np.tile(np.arange(1, params.gop_size + 1), n_gops).tolist(),
+    )
+    frames = frames_from_columns(ids, sizes, gamma.ravel(), deadline.ravel(), send.ravel())
+
+    chunk_tiles = range(1, params.tile_rows * params.tile_cols + 1)
     return FlowTrace(
         flow=params.flow,
-        frames=tuple(frames),
-        viewing_prob=MappingProxyType(
-            {c + 1: MappingProxyType(probs[c]) for c in range(params.n_chunks)}
-        ),
+        frames=frames,
+        viewing_prob=MappingProxyType({
+            c: MappingProxyType(dict(zip(chunk_tiles, chunk)))
+            for c, chunk in enumerate(probs.tolist(), start=1)
+        }),
     )
 
 

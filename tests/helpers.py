@@ -4,12 +4,26 @@ import bisect
 import copy
 import heapq
 import itertools
+import math
+from types import MappingProxyType
+
+import numpy as np
 
 from vrsched.allocation import ArrivalServiceStats
 from vrsched.delay import FlowDelayState
 from vrsched.forwarder import SendAction
 from vrsched.frame_queue import QueuedFrame, tolerable_time
-from vrsched.video import US_PER_MS, FrameId, FrameMeta
+from vrsched.traffic import _SIZE_STREAM, _WALK_STREAM, TraceParams, gamma_frame_sizes
+from vrsched.video import (
+    US_PER_MS,
+    FlowTrace,
+    FrameId,
+    FrameMeta,
+    chunk_deadline,
+    frame_deadline,
+    importance,
+    two_layer_gop,
+)
 
 
 def make_frame(
@@ -170,3 +184,126 @@ def replay_arrival_order(send_us, arrival_us):
         if i + 1 < len(send_us[f]):
             heapq.heappush(heap, (send_us[f][i + 1], send, next(seq), f, i + 1))
     return order
+
+
+def reference_walk(
+    n_chunks: int,
+    rows: int,
+    cols: int,
+    rng: np.random.Generator,
+    decay: float = 0.5,
+    uniform: bool = False,
+) -> list[dict[int, float]]:
+    """Per-chunk tile viewing probabilities, one tile at a time.
+
+    The reference for :func:`vrsched.traffic.viewing_probability_walk`.
+
+    The center moves at most one tile per chunk; columns wrap (the panorama
+    is periodic in longitude) while rows clamp at the poles. A tile's
+    probability is ``decay ** distance`` to the center, so the center tile
+    gets 1.0 and everything stays strictly positive. Uniform mode gives all
+    tiles probability 1.
+    """
+    probs: list[dict[int, float]] = []
+    if uniform:
+        flat = {r * cols + c + 1: 1.0 for r in range(rows) for c in range(cols)}
+        return [dict(flat) for _ in range(n_chunks)]
+    row = int(rng.integers(rows))
+    col = int(rng.integers(cols))
+    half_cols = cols / 2.0
+    for _ in range(n_chunks):
+        chunk_probs: dict[int, float] = {}
+        for r in range(rows):
+            for c in range(cols):
+                dc = abs(c - col)
+                if dc > half_cols:
+                    dc = cols - dc
+                dist = math.hypot(r - row, dc)
+                chunk_probs[r * cols + c + 1] = decay ** dist
+        probs.append(chunk_probs)
+        row = min(rows - 1, max(0, row + int(rng.integers(-1, 2))))
+        col = (col + int(rng.integers(-1, 2))) % cols
+    return probs
+
+
+def reference_trace(params: TraceParams, seed: int) -> FlowTrace:
+    """One flow's full send schedule, one frame at a time.
+
+    The reference for :func:`vrsched.traffic.generate_trace`, which builds the
+    same frames from numpy columns.
+
+    The client issues one request per chunk duration (chunk c at
+    ``(c-1) * chunk_s``) and the server paces the chunk's frames uniformly
+    over the following chunk duration. Playback of chunk c starts ``lead``
+    chunk durations after its request, so at steady state a chunk's
+    deadline is ``lead`` whole chunk durations and each frame's deadline
+    shrinks by its send offset.
+    """
+    params.validate()
+    size_rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(params.flow, _SIZE_STREAM))
+    )
+    walk_rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(params.flow, _WALK_STREAM))
+    )
+
+    gop = two_layer_gop(params.gop_size)
+    probs = reference_walk(
+        params.n_chunks, params.tile_rows, params.tile_cols, walk_rng,
+        params.walk_decay, params.uniform_attention,
+    )
+
+    n_frames = params.frames_per_chunk
+    gops = params.gops_per_chunk
+    # Calibrate the non-I frame mean so the chunk total matches the bitrate.
+    chunk_bytes = params.bitrate_bps * params.chunk_s / 8.0
+    unit = chunk_bytes / (gops * (params.i_frame_ratio + params.gop_size - 1))
+
+    chunk_ms = params.chunk_s * 1000.0
+    frame_gap_ms = chunk_ms / n_frames
+    lead = params.request_lead_chunks
+
+    # one draw for the whole trace: the same generator gives the same
+    # values in the same order as one draw per GoP
+    means = np.full(params.gop_size, unit)
+    means[0] *= params.i_frame_ratio
+    n_gops = params.n_chunks * gops
+    sizes = gamma_frame_sizes(
+        size_rng, np.tile(means, n_gops), params.gamma_shape, n_gops * params.gop_size
+    ).tolist()
+
+    frames: list[FrameMeta] = []
+    for c in range(1, params.n_chunks + 1):
+        # during pre-roll the countdown runs as if playback had begun, so
+        # the first chunks get the same lead as the steady state
+        if c > lead:
+            ddl_chunk = chunk_deadline(c, c - lead, params.chunk_s)
+        else:
+            ddl_chunk = chunk_deadline(lead, 0, params.chunk_s)
+        t_request = (c - 1) * chunk_ms
+        t_first = t_request + params.uplink_ms
+        tile_order = sorted(probs[c - 1], key=lambda m: (-probs[c - 1][m], m))
+        j = 0
+        for g in range(gops):
+            tile = tile_order[g]
+            p = probs[c - 1][tile]
+            for k in range(1, params.gop_size + 1):
+                t_send = t_first + j * frame_gap_ms
+                frames.append(
+                    FrameMeta(
+                        id=FrameId(c, tile, k),
+                        size=sizes[len(frames)],
+                        gamma=importance(p, k, gop, params.importance_counts_self),
+                        deadline_ms=frame_deadline(ddl_chunk, t_send, t_first),
+                        send_time_ms=t_send,
+                    )
+                )
+                j += 1
+
+    return FlowTrace(
+        flow=params.flow,
+        frames=tuple(frames),
+        viewing_prob=MappingProxyType(
+            {c + 1: MappingProxyType(probs[c]) for c in range(params.n_chunks)}
+        ),
+    )

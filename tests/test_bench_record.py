@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -22,6 +23,7 @@ def test_records_one_tiny_run(tmp_path):
     assert record["settings"] == {"runs": 1, "seconds": 0.0, "seeds": [1]}
     assert set(record["trees"]) == {"this"}
     assert record["trees"]["this"]["commit"]
+    assert set(record["trees"]["this"]) == {"commit", "src_matches_commit", "src_sha256"}
     this = record["workloads"]["overload-deep"]["this"]
     assert this["failed"] == 0
     for metric in spec["end_to_end"]:
@@ -50,3 +52,36 @@ def test_refuses_a_run_length_the_benchmark_does_not_set(tmp_path):
     assert proc.returncode == 2
     assert "--seconds" in proc.stderr
     assert not (tmp_path / "BENCH_0.json").exists()
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_names_the_commit_and_whether_src_is_it(tmp_path):
+    tree_commit = _load_script().tree_commit
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+    assert tree_commit(tmp_path) == {"commit": head, "src_matches_commit": True}
+    (tmp_path / "notes.txt").write_text("outside src\n")
+    assert tree_commit(tmp_path)["src_matches_commit"] is True
+    (tmp_path / "src" / "b.py").write_text("y = 2\n")
+    assert tree_commit(tmp_path) == {"commit": head, "src_matches_commit": False}
+    (tmp_path / "src" / "b.py").unlink()
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    assert tree_commit(tmp_path) == {"commit": head, "src_matches_commit": False}
+
+
+def test_a_tree_that_is_not_a_checkout_matches_no_commit(tmp_path):
+    (tmp_path / "src").mkdir()
+    assert _load_script().tree_commit(tmp_path) == {
+        "commit": "unknown (not a git checkout)", "src_matches_commit": False}

@@ -1,9 +1,13 @@
 import gc
+import math
+import re
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_trace, reference_walk
 from vrsched import traffic
 from vrsched.cli import sweep_grid
 from vrsched.config import SimConfig
@@ -158,8 +162,18 @@ class TestWireRanges:
         (dict(tile_rows=16, tile_cols=16), "tile_rows/tile_cols"),
         (dict(gop_size=256, fps=256.0), "gop_size"),
         (dict(gop_size=0), "gop_size"),
+        (dict(bitrate_bps=math.nan), "bitrate_bps"),
+        (dict(bitrate_bps=math.inf), "bitrate_bps"),
+        (dict(bitrate_bps=1e300), "bitrate_bps/chunk_s"),
+        (dict(i_frame_ratio=math.nan), "i_frame_ratio"),
+        (dict(gamma_shape=math.nan), "gamma_shape"),
+        (dict(uplink_ms=math.nan), "uplink_ms"),
+        (dict(uplink_ms=math.inf), "uplink_ms"),
+        (dict(uplink_ms=-1.0), "uplink_ms"),
     ], ids=["huge-video", "infinite-chunk-count", "one-chunk-too-many",
-            "infinite-frame-count", "256-tiles", "gop-of-256", "gop-of-0"])
+            "infinite-frame-count", "256-tiles", "gop-of-256", "gop-of-0",
+            "nan-bitrate", "infinite-bitrate", "chunk-past-max-bytes", "nan-i-frame-ratio",
+            "nan-gamma-shape", "nan-uplink", "infinite-uplink", "negative-uplink"])
     def test_rejected_naming_the_fields(self, fields, names):
         with pytest.raises(ValueError, match=f"^{names}:"):
             TraceParams(**fields).validate()
@@ -167,6 +181,69 @@ class TestWireRanges:
     def test_largest_ids_accepted(self):
         TraceParams(video_s=65535.0, tile_rows=15, tile_cols=17).validate()
         TraceParams(gop_size=254, fps=254.0).validate()
+
+
+@st.composite
+def trace_params(draw):
+    """Small traces over every generator knob; an odd gop size is rejected."""
+    gop_size = draw(st.integers(2, 8))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    chunk_s = draw(st.sampled_from([0.25, 1 / 3, 0.5, 1.0, 2.0]))
+    frames_per_chunk = gop_size * draw(st.integers(1, rows * cols))
+    return TraceParams(
+        flow=draw(st.integers(0, 63)),
+        bitrate_bps=draw(st.floats(1e4, 1e8)),
+        video_s=chunk_s * draw(st.integers(1, 6)),
+        fps=frames_per_chunk / chunk_s,
+        chunk_s=chunk_s,
+        tile_rows=rows,
+        tile_cols=cols,
+        gop_size=gop_size,
+        i_frame_ratio=draw(st.floats(1.0, 10.0)),
+        gamma_shape=draw(st.floats(0.05, 100.0)),
+        request_lead_chunks=draw(st.integers(1, 4)),
+        uplink_ms=draw(st.floats(0.0, 1e4)),
+        walk_decay=draw(st.floats(1e-300, 0.999)),
+        uniform_attention=draw(st.booleans()),
+        importance_counts_self=draw(st.booleans()),
+    )
+
+
+def exact(trace):
+    """Every field of every frame and every tile probability, by type and repr."""
+    frames = [
+        [(type(v), repr(v)) for v in (f, f.id, *f.id, f.size, f.gamma, f.deadline_ms,
+                                     f.send_time_ms)]
+        for f in trace.frames
+    ]
+    probs = {c: [(m, type(p), repr(p)) for m, p in chunk.items()]
+             for c, chunk in trace.viewing_prob.items()}
+    return trace.flow, frames, probs
+
+
+class TestMatchesReference:
+    """The column generator gives the per-frame loop's trace, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=trace_params(), seed=st.integers(0, 2**32 - 1))
+    def test_generate_trace_equals_the_per_frame_loop(self, params, seed):
+        try:
+            want = reference_trace(params, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                generate_trace(params, seed)
+            return
+        assert exact(generate_trace(params, seed)) == exact(want)
+
+    @given(n_chunks=st.integers(1, 20), rows=st.integers(1, 6), cols=st.integers(1, 9),
+           decay=st.floats(1e-300, 0.999), uniform=st.booleans(), seed=st.integers(0, 999))
+    def test_walk_equals_the_per_tile_loop(self, n_chunks, rows, cols, decay, uniform, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = viewing_probability_walk(n_chunks, rows, cols, got_rng, decay, uniform)
+        want = reference_walk(n_chunks, rows, cols, want_rng, decay, uniform)
+        assert [[(m, repr(p)) for m, p in c.items()] for c in got] == \
+            [[(m, repr(p)) for m, p in c.items()] for c in want]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 SMALL = dict(n_flows=3, bitrate_mbps_min=2.0, bitrate_mbps_max=3.0,
