@@ -172,7 +172,8 @@ class SimConfig:
             # flow 0's check below cannot fail on bitrate_bps, not a field here
             if not self.bitrate_mbps_max * 1e6 * self.chunk_s / 8.0 <= MAX_CHUNK_BYTES:
                 raise ConfigError(
-                    f"bitrate_mbps_max: a chunk would hold more than {MAX_CHUNK_BYTES:g} bytes"
+                    f"bitrate_mbps_max/chunk_s: a chunk would hold more than "
+                    f"{MAX_CHUNK_BYTES:g} bytes"
                 )
             try:
                 self.trace_params(0).validate()

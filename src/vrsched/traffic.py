@@ -14,20 +14,21 @@ deadline, importance and id. Each float column is computed with the same
 operations in the same order as the scalar formulas in :mod:`vrsched.video`
 apply to one frame, so every value has the same bits; the scalar random
 draws stay scalar, since array draws would use the stream differently.
-:meth:`TraceParams.validate` bounds the inputs, the columns are checked
-once, and only then are the frame objects made, each field set on every
-frame by one C-level pass over its column.
+:meth:`TraceParams.validate` bounds the inputs, and the frame objects are
+made last, by one C-level ``map`` of the frame constructor over the
+columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
 
-from .video import FlowTrace, chunk_deadline, frames_from_columns, two_layer_gop
+from .video import FlowTrace, FrameId, FrameMeta, chunk_deadline, two_layer_gop
 from .wire import MAX_CHUNK, MAX_GOP_POS, MAX_TILE
 
 _SIZE_STREAM = 0
@@ -73,7 +74,7 @@ class TraceParams:
         build a trace until memory runs out. The float fields the frames are
         computed from must be finite, and a chunk at most ``MAX_CHUNK_BYTES``,
         so every frame size is a positive int64 and every send time and
-        deadline finite: the frames are not checked one by one.
+        deadline finite, which the frame constructor does not check.
         """
         for name in ("bitrate_bps", "i_frame_ratio", "gamma_shape", "uplink_ms"):
             if not math.isfinite(getattr(self, name)):
@@ -185,9 +186,13 @@ def viewing_probability_walk(
     gets 1.0 and everything stays strictly positive. Uniform mode gives all
     tiles probability 1.
     """
-    tiles = range(1, rows * cols + 1)
-    return [dict(zip(tiles, chunk))
-            for chunk in _walk_probs(n_chunks, rows, cols, rng, decay, uniform).tolist()]
+    return _tile_dicts(_walk_probs(n_chunks, rows, cols, rng, decay, uniform))
+
+
+def _tile_dicts(probs: np.ndarray) -> list[dict[int, float]]:
+    """Each row of ``probs`` as a ``{tile: p}`` dict; column m-1 is tile m."""
+    tiles = range(1, probs.shape[1] + 1)
+    return [dict(zip(tiles, chunk)) for chunk in probs.tolist()]
 
 
 def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
@@ -208,8 +213,8 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
     the same order, as :func:`~vrsched.video.frame_deadline` and
     :func:`~vrsched.video.importance` take on one frame, so every value
     has the bits those functions give. The frames are made from the
-    columns last, by :func:`~vrsched.video.frames_from_columns`, which
-    checks the sizes and importances once for the whole trace.
+    columns last, by one ``map`` of the :class:`~vrsched.video.FrameMeta`
+    constructor, which checks each frame as a direct call does.
     """
     params.validate()
     size_rng = np.random.default_rng(
@@ -266,15 +271,17 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
         (tiles + 1).repeat(params.gop_size, axis=1).ravel().tolist(),
         np.tile(np.arange(1, params.gop_size + 1), n_gops).tolist(),
     )
-    frames = frames_from_columns(ids, sizes, gamma.ravel(), deadline.ravel(), send.ravel())
+    # tuple.__new__ is what FrameId(c, m, k) calls, minus its Python-level frame
+    frames = tuple(map(
+        FrameMeta, map(tuple.__new__, repeat(FrameId), ids), sizes.tolist(),
+        gamma.ravel().tolist(), deadline.ravel().tolist(), send.ravel().tolist(),
+    ))
 
-    chunk_tiles = range(1, params.tile_rows * params.tile_cols + 1)
     return FlowTrace(
         flow=params.flow,
         frames=frames,
         viewing_prob=MappingProxyType({
-            c: MappingProxyType(dict(zip(chunk_tiles, chunk)))
-            for c, chunk in enumerate(probs.tolist(), start=1)
+            c: MappingProxyType(chunk) for c, chunk in enumerate(_tile_dicts(probs), start=1)
         }),
     )
 

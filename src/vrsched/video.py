@@ -12,14 +12,10 @@ to integer microseconds internally.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field, fields
-from itertools import repeat
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
-
-import numpy as np
+from typing import Mapping, NamedTuple, Optional
 
 from .metrics import write_text
 from .wire import MAX_CHUNK, MAX_GOP_POS, MAX_TILE
@@ -126,41 +122,6 @@ class FrameMeta:
             raise ValueError(f"frame size must be positive, got {self.size}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"importance {self.gamma} outside [0, 1]")
-
-
-_FRAME_FIELDS = tuple(f.name for f in fields(FrameMeta))
-
-
-def frames_from_columns(
-    ids: Iterable[tuple[int, int, int]],
-    sizes: np.ndarray,
-    gammas: np.ndarray,
-    deadlines_ms: np.ndarray,
-    send_times_ms: np.ndarray,
-) -> tuple[FrameMeta, ...]:
-    """The frames whose fields are the given columns, in order.
-
-    The columns are checked once, as :class:`FrameMeta` checks each frame:
-    every size at least 1 byte, every importance in [0, 1]. The frames are
-    then made without running ``__init__``, each field set on every frame
-    by one ``map`` over a column, in declaration order, so they are the
-    objects the constructor makes: the same fields, types and memory.
-    """
-    if sizes.size and sizes.min() < 1:
-        raise ValueError(f"frame size must be positive, got {sizes.min()}")
-    outside = ~((gammas >= 0.0) & (gammas <= 1.0))
-    if outside.any():
-        raise ValueError(f"importance {gammas[outside][0]} outside [0, 1]")
-    # A frame made by the constructor puts every field in the class's shared
-    # attribute keys. Frames allocated while those keys are incomplete would
-    # each get a dict of their own, nearly three times the memory.
-    FrameMeta(FrameId(0, 0, 0), 1, 0.0, 0.0, 0.0)
-    frames = list(map(object.__new__, repeat(FrameMeta, len(sizes))))
-    columns = (map(tuple.__new__, repeat(FrameId), ids), sizes.tolist(), gammas.tolist(),
-               deadlines_ms.tolist(), send_times_ms.tolist())
-    for name, column in zip(_FRAME_FIELDS, columns):
-        deque(map(object.__setattr__, frames, repeat(name), column), maxlen=0)
-    return tuple(frames)
 
 
 @dataclass(frozen=True)

@@ -162,9 +162,10 @@ class TestBadInput:
         _trace_case("chunk_70000.csv", 2),
         _trace_case("tile_256.csv", 2),
         _trace_case("gop_pos_256.csv", 2),
-        ({}, ["run", "--override", "bitrate_mbps_max=1e300"], {}, "bitrate_mbps_max"),
+        ({}, ["run", "--override", "bitrate_mbps_max=1e300"], {}, "bitrate_mbps_max/chunk_s"),
         ({}, ["run", "--override", "bitrate_mbps_min=1e300", "--override",
-              "bitrate_mbps_max=1e300"], {}, "bitrate_mbps_max"),
+              "bitrate_mbps_max=1e300"], {}, "bitrate_mbps_max/chunk_s"),
+        ({}, ["run", "--override", "chunk_s=1e300"], {}, "bitrate_mbps_max/chunk_s"),
         ({}, ["run", "--override", "policy=single-ts-x-5"], {}, "policy"),
         ({}, ["run", "--override", "policy=single-ts-+5"], {}, "policy"),
         ({}, ["run", "--override", "policy=single-ts-1e-9"], {}, "policy"),
@@ -190,7 +191,8 @@ class TestBadInput:
             "nan-deadline", "infinite-send-time", "negative-send-time",
             "decreasing-send-time", "repeated-frame-id", "huge-video", "video-past-chunk-65535",
             "256-tiles", "gop-of-256", "trace-chunk-70000", "trace-tile-256",
-            "trace-gop-position-256", "huge-bitrate", "huge-least-bitrate", "single-ts-junk-before-period",
+            "trace-gop-position-256", "huge-bitrate", "huge-least-bitrate", "huge-chunk",
+            "single-ts-junk-before-period",
             "single-ts-signed-period", "single-ts-float-period", "huge-server-delay",
             "huge-propagation", "huge-jitter", "zero-workers", "negative-workers",
             "zero-workers-env", "empty-seed-list", "empty-bandwidth-list",

@@ -1,14 +1,5 @@
-import dataclasses
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-
-import vrsched
 
 from vrsched.video import (
     TRACE_HEADER,
@@ -18,7 +9,6 @@ from vrsched.video import (
     GopStructure,
     chunk_deadline,
     frame_deadline,
-    frames_from_columns,
     importance,
     read_trace,
     two_layer_gop,
@@ -145,69 +135,6 @@ class TestFrameMeta:
 
     def test_id_ordering_is_lexicographic(self):
         assert FrameId(1, 2, 3) < FrameId(1, 2, 4) < FrameId(1, 3, 1) < FrameId(2, 1, 1)
-
-
-class TestFramesFromColumns:
-    COLUMNS = dict(sizes=np.array([1000, 1]), gammas=np.array([0.0, 1.0]),
-                   deadlines_ms=np.array([2000.0, -5.5]), send_times_ms=np.array([15.0, 48.3]))
-
-    def _frames(self, **columns):
-        columns = {**self.COLUMNS, **columns}
-        return frames_from_columns([(1, 2, 1), (1, 2, 2)], **columns)
-
-    def test_equals_the_constructor(self):
-        got = self._frames()
-        want = (FrameMeta(FrameId(1, 2, 1), 1000, 0.0, 2000.0, 15.0),
-                FrameMeta(FrameId(1, 2, 2), 1, 1.0, -5.5, 48.3))
-        assert got == want
-        for g, w in zip(got, want):
-            assert type(g) is FrameMeta and type(g.id) is FrameId
-            assert [type(v) for v in vars(g).values()] == [type(v) for v in vars(w).values()]
-            assert list(vars(g)) == list(vars(w))
-            assert sys.getsizeof(g) == sys.getsizeof(w)
-
-    def test_frames_take_the_constructors_memory(self):
-        # each way in a fresh interpreter, where no frame has been made before
-        code = (
-            "import sys, tracemalloc\n"
-            "import numpy as np\n"
-            "from vrsched.video import FrameId, FrameMeta, frames_from_columns\n"
-            "n = 5000\n"
-            "cols = (np.arange(1, n + 1), np.full(n, 0.5), np.arange(n) * 1.5, np.arange(n) * 0.5)\n"
-            "tracemalloc.start()\n"
-            "if sys.argv[1] == 'columns':\n"
-            "    frames = frames_from_columns([(1, 1, 1)] * n, *cols)\n"
-            "else:\n"
-            "    frames = tuple(FrameMeta(FrameId(1, 1, 1), *v)\n"
-            "                   for v in zip(*(c.tolist() for c in cols)))\n"
-            "print(tracemalloc.get_traced_memory()[0] / n)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(vrsched.__file__).parents[1])}
-        got, want = (
-            float(subprocess.run([sys.executable, "-c", code, way], capture_output=True,
-                                 text=True, env=env, timeout=60, check=True).stdout)
-            for way in ("columns", "constructor")
-        )
-        assert got == pytest.approx(want, abs=8)
-
-    def test_frames_are_frozen(self):
-        frame = self._frames()[0]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            frame.size = 5
-
-    @pytest.mark.parametrize("columns,message", [
-        (dict(sizes=np.array([1000, 0])), "frame size must be positive, got 0"),
-        (dict(gammas=np.array([0.5, 1.5])), "importance 1.5 outside"),
-        (dict(gammas=np.array([-0.25, 0.5])), "importance -0.25 outside"),
-        (dict(gammas=np.array([0.5, np.nan])), "importance nan outside"),
-    ], ids=["zero-size", "importance-above-1", "negative-importance", "nan-importance"])
-    def test_rejects_what_the_constructor_rejects(self, columns, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
-            self._frames(**columns)
-
-    def test_no_columns_no_frames(self):
-        empty = np.array([])
-        assert frames_from_columns([], np.array([], dtype=np.int64), empty, empty, empty) == ()
 
 
 class TestFrameId:
