@@ -168,17 +168,20 @@ class SimConfig:
             if not Path(path).is_file():
                 raise ConfigError(f"trace_files: no such file '{path}'")
         if self.n_flows:
-            # the last flow may have the most bitrate; when its chunk fits,
-            # flow 0's check below cannot fail on bitrate_bps, not a field here
+            # the last flow may have the most bitrate; when its chunk fits, the
+            # flows' checks below cannot fail on bitrate_bps, not a field here
             if not self.bitrate_mbps_max * 1e6 * self.chunk_s / 8.0 <= MAX_CHUNK_BYTES:
                 raise ConfigError(
                     f"bitrate_mbps_max/chunk_s: a chunk would hold more than "
                     f"{MAX_CHUNK_BYTES:g} bytes"
                 )
-            try:
-                self.trace_params(0).validate()
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            # of the fields checked, flows differ in bitrate alone, least at
+            # flow 0 and most at the last flow, so the flows between pass too
+            for flow in sorted({0, self.n_flows - 1}):
+                try:
+                    self.trace_params(flow).validate()
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, data: dict[str, Any], source: str = "config") -> "SimConfig":

@@ -10,10 +10,9 @@ is ever on the link, so its end sits in one slot, not on a queue; the slice
 that completes a frame is its departure. The frame reaches the client after
 the propagation delay and is acknowledged back to the server, which hears
 the ack at its next send and stamps the resulting RTT into the metadata
-option of that and later frames. A send is stamped when its frame, or a
-later frame of its flow that overtook it, reaches the bottleneck: every ack
-heard before the send instant is known by then, and acks heard later are
-skipped.
+option of that and later frames. A frame's mark is read from its flow's ack
+log when the frame reaches the bottleneck, which by then holds every ack
+heard before the send instant.
 
 Time is integer microseconds throughout. At equal timestamps the link end
 runs first, then arrivals in the order the server sent them, then the long
@@ -25,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -122,18 +121,37 @@ class _FlowRuntime:
     tracker: FlowDelayState
     stats: ArrivalServiceStats
     jitter_rng: np.random.Generator
-    # acks in the order the server hears them: (heard_at_us, send index acked);
-    # once heard, the head is the freshest ack the server knows of
-    acks: deque[tuple[int, int]] = field(default_factory=deque)
-    # marks of sends whose frames were overtaken: send index -> (rtt_ms, offset)
-    stash: dict[int, tuple[float, int]] = field(default_factory=dict)
+    send_us: Optional[memoryview] = None   # int64 send instants in trace order, set by run()
+    # the ack log, in the order the server hears the acks: when it hears
+    # each, and the send index it acks
+    ack_heard_us: array = field(default_factory=lambda: array("q"))
+    ack_idx: array = field(default_factory=lambda: array("q"))
     last_arrival_us: Optional[int] = None
     current_rate_bps: float = 0.0
     v_prev_ms: Optional[float] = None
-    generated: int = 0   # sends stamped so far, which are the first ``generated`` of the trace
     arrived: int = 0
     forwarded: int = 0
     dropped: int = 0
+
+    def mark(self, idx: int) -> tuple[float, int]:
+        """The (RTT, reference offset) mark the server put on send ``idx``.
+
+        It is read from the latest ack heard strictly before the send
+        instant. No delay is negative, so such an ack comes from a link end
+        before the send and is logged by the time the frame arrives; an ack
+        logged later is heard at or after the send.
+        """
+        heard = self.ack_heard_us
+        i = bisect_left(heard, self.send_us[idx]) - 1
+        if i >= 0:
+            ref_idx = self.ack_idx[i]
+            offset = idx - ref_idx
+            if 1 <= offset <= 255:
+                # frames are sent in trace order and trace ids never repeat,
+                # so the acked frame's trace index is its send index
+                rtt = heard[i] / US_PER_MS - self.trace.frames[ref_idx].send_time_ms
+                return float(saturate_ms(rtt)), offset
+        return 0.0, 0
 
 
 @dataclass
@@ -296,38 +314,10 @@ class Simulation:
 
     # -- event handlers ---------------------------------------------------
 
-    def _stamp(self, rt: _FlowRuntime) -> tuple[float, int]:
-        """Make the flow's next send: the (RTT, reference offset) mark the server puts on it.
-
-        Every ack heard before the send instant is in ``rt.acks`` by now;
-        an ack heard at or after it, this very instant included, reached
-        the server after the send and is skipped.
-        """
-        idx = rt.generated
-        rt.generated += 1
-        send_us = int(round(rt.trace.frames[idx].send_time_ms * US_PER_MS))
-        acks = rt.acks
-        while len(acks) > 1 and acks[1][0] < send_us:
-            acks.popleft()
-        if acks and acks[0][0] < send_us:
-            heard_at_us, ref_idx = acks[0]
-            offset = idx - ref_idx
-            if 1 <= offset <= 255:
-                # frames are sent in trace order and trace ids never repeat,
-                # so the acked frame's trace index is its send index
-                rtt = heard_at_us / US_PER_MS - rt.trace.frames[ref_idx].send_time_ms
-                return float(saturate_ms(rtt)), offset
-        return 0.0, 0
-
     def _on_arrival(self, now_us: int, flow: int, idx: int) -> None:
         rt = self.flows[flow]
         rt.arrived += 1
-        if idx < rt.generated:   # overtaken: stamped when the frame that overtook it arrived
-            rtt_ms, ref_offset = rt.stash.pop(idx)
-        else:
-            for j in range(rt.generated, idx):   # the sends it overtook, still on their way
-                rt.stash[j] = self._stamp(rt)
-            rtt_ms, ref_offset = self._stamp(rt)
+        rtt_ms, ref_offset = rt.mark(idx)
         meta = rt.trace.frames[idx]
         # the option's deadline as the bottleneck reads it off the wire
         ddl_ms = float(saturate_ms(meta.deadline_ms))
@@ -372,8 +362,9 @@ class Simulation:
                 self.event_log.append((now_us, flow, fid.c, fid.m, fid.k, "fwd", q_ms))
 
             # the client acks each receipt; departures strictly increase in
-            # time, so the acks queue in the order the server hears them
-            rt.acks.append((now_us + self.ack_lag_us, frame.send_idx))
+            # time, so the log is in the order the server hears the acks
+            rt.ack_heard_us.append(now_us + self.ack_lag_us)
+            rt.ack_idx.append(frame.send_idx)
         self._kick(now_us)
 
     # -- scheduler ticks --------------------------------------------------
@@ -492,11 +483,10 @@ class Simulation:
     def _check_conservation(self) -> None:
         for f, rt in self.flows.items():
             on_link = self._link_frame is not None and self._link_flow == f
-            # stamped sends still on their way are the stashed ones
-            outstanding = len(rt.stash) + len(rt.queue) + on_link
-            if rt.generated != rt.forwarded + rt.dropped + outstanding:
+            outstanding = len(rt.queue) + on_link
+            if rt.arrived != rt.forwarded + rt.dropped + outstanding:
                 raise AssertionError(
-                    f"flow {f}: generated {rt.generated} != forwarded {rt.forwarded} "
+                    f"flow {f}: arrived {rt.arrived} != forwarded {rt.forwarded} "
                     f"+ dropped {rt.dropped} + outstanding {outstanding}"
                 )
 
@@ -511,6 +501,7 @@ class Simulation:
             frames = rt.trace.frames
             send_ms = np.fromiter((m.send_time_ms for m in frames), np.float64, len(frames))
             send_us = np.rint(send_ms * US_PER_MS).astype(np.int64)
+            rt.send_us = memoryview(send_us)
             sends.append(send_us)
             arrivals.append(arrival_instants(send_us, self.server_delay_ms,
                                              self.jitter_mean_ms, rt.jitter_rng))
@@ -571,7 +562,7 @@ class Simulation:
             event_log=self.event_log,
             flow_counters={
                 f: {
-                    "generated": rt.generated,
+                    "generated": len(rt.trace.frames),   # every send is made by the end
                     "arrived": rt.arrived,
                     "forwarded": rt.forwarded,
                     "dropped": rt.dropped,

@@ -65,6 +65,12 @@ class TraceParams:
     def gops_per_chunk(self) -> int:
         return self.frames_per_chunk // self.gop_size
 
+    @property
+    def unit_bytes(self) -> float:
+        """The mean size of a non-I frame, calibrated so a chunk offers the bitrate."""
+        chunk_bytes = self.bitrate_bps * self.chunk_s / 8.0
+        return chunk_bytes / (self.gops_per_chunk * (self.i_frame_ratio + self.gop_size - 1))
+
     def validate(self) -> None:
         """Raise ValueError, its message led by the offending field names.
 
@@ -72,9 +78,10 @@ class TraceParams:
         quotients are bounded before ``n_chunks`` and ``frames_per_chunk``
         round them: an infinite one cannot be rounded, and a huge one would
         build a trace until memory runs out. The float fields the frames are
-        computed from must be finite, and a chunk at most ``MAX_CHUNK_BYTES``,
-        so every frame size is a positive int64 and every send time and
-        deadline finite, which the frame constructor does not check.
+        computed from must be finite, and a chunk and the Gamma scale of the
+        largest frame mean at most ``MAX_CHUNK_BYTES``, so every frame size is
+        a positive int64 and every send time and deadline finite, which the
+        frame constructor does not check.
         """
         for name in ("bitrate_bps", "i_frame_ratio", "gamma_shape", "uplink_ms"):
             if not math.isfinite(getattr(self, name)):
@@ -121,10 +128,14 @@ class TraceParams:
             raise ValueError("i_frame_ratio: I-frames cannot be smaller than the others")
         if self.gamma_shape <= 0:
             raise ValueError("gamma_shape: must be positive")
+        # the I-frame mean is the largest; a tiny shape makes its scale huge
+        if not self.unit_bytes * self.i_frame_ratio / self.gamma_shape <= MAX_CHUNK_BYTES:
+            raise ValueError(f"gamma_shape: {self.gamma_shape!r} gives I-frame sizes a "
+                             f"Gamma scale over {MAX_CHUNK_BYTES:g} bytes")
 
 
-# Frame sizes are drawn as floats and stored as int64; a chunk of at most
-# this many bytes keeps every draw far inside that range.
+# Frame sizes are drawn as floats and stored as int64; a chunk and a Gamma
+# scale of at most this many bytes keep every draw far inside that range.
 MAX_CHUNK_BYTES = 1e12
 
 
@@ -233,9 +244,6 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
 
     n_frames = params.frames_per_chunk
     gops = params.gops_per_chunk
-    # Calibrate the non-I frame mean so the chunk total matches the bitrate.
-    chunk_bytes = params.bitrate_bps * params.chunk_s / 8.0
-    unit = chunk_bytes / (gops * (params.i_frame_ratio + params.gop_size - 1))
 
     chunk_ms = params.chunk_s * 1000.0
     frame_gap_ms = chunk_ms / n_frames
@@ -245,7 +253,7 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
 
     # one draw for the whole trace: the same generator gives the same
     # values in the same order as one draw per GoP
-    means = np.full(params.gop_size, unit)
+    means = np.full(params.gop_size, params.unit_bytes)
     means[0] *= params.i_frame_ratio
     n_gops = n_chunks * gops
     sizes = gamma_frame_sizes(

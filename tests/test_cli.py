@@ -166,6 +166,11 @@ class TestBadInput:
         ({}, ["run", "--override", "bitrate_mbps_min=1e300", "--override",
               "bitrate_mbps_max=1e300"], {}, "bitrate_mbps_max/chunk_s"),
         ({}, ["run", "--override", "chunk_s=1e300"], {}, "bitrate_mbps_max/chunk_s"),
+        ({}, ["run", "--override", "gamma_shape=1e-320"], {}, "gamma_shape"),
+        # at the default bitrates flow 0's Gamma scale is 5.9e11 bytes, under
+        # the bound, and flow 1's is 1.47e12
+        ({"n_flows": 2, "bitrate_mbps_min": 1.9, "bitrate_mbps_max": 4.7},
+         ["run", "--override", "gamma_shape=3e-8"], {}, "gamma_shape"),
         ({}, ["run", "--override", "policy=single-ts-x-5"], {}, "policy"),
         ({}, ["run", "--override", "policy=single-ts-+5"], {}, "policy"),
         ({}, ["run", "--override", "policy=single-ts-1e-9"], {}, "policy"),
@@ -192,6 +197,7 @@ class TestBadInput:
             "decreasing-send-time", "repeated-frame-id", "huge-video", "video-past-chunk-65535",
             "256-tiles", "gop-of-256", "trace-chunk-70000", "trace-tile-256",
             "trace-gop-position-256", "huge-bitrate", "huge-least-bitrate", "huge-chunk",
+            "tiny-gamma-shape", "tiny-gamma-shape-on-the-last-flow",
             "single-ts-junk-before-period",
             "single-ts-signed-period", "single-ts-float-period", "huge-server-delay",
             "huge-propagation", "huge-jitter", "zero-workers", "negative-workers",

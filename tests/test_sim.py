@@ -13,7 +13,8 @@ from helpers import inject_delay, replay_arrival_order
 from vrsched.config import ConfigError, SimConfig
 from vrsched.sim import Simulation, arrival_instants, arrival_schedule, run
 from vrsched.traffic import generate_trace
-from vrsched.video import TRACE_HEADER, write_trace
+from vrsched.video import TRACE_HEADER, US_PER_MS, write_trace
+from vrsched.wire import saturate_ms
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -232,8 +233,8 @@ class TestRuns:
                      if e[5] == "fwd"}
         assert not dropped & forwarded
         for f, rt in sim.flows.items():
-            assert rt.acks
-            for _, seq in rt.acks:   # heard, or still on its way back
+            assert rt.ack_idx
+            for seq in rt.ack_idx:   # heard, or still on its way back
                 ref = rt.trace.frames[seq].id
                 assert (f, ref.c, ref.m, ref.k) in forwarded
 
@@ -258,21 +259,37 @@ class TestRuns:
         assert tracker.net_state_ms == 30.0   # 31 ms RTT less 1 ms queued
 
     def test_overtaken_sends_keep_their_marks(self):
-        # jitter lets a frame overtake earlier sends of its flow; their marks
-        # are stamped at that arrival and held until their own
-        class Stash(dict):
-            held = 0
-
-            def __setitem__(self, key, value):
-                Stash.held += 1
-                super().__setitem__(key, value)
-
+        # jitter lets a frame overtake earlier sends of its flow; each send's
+        # mark is still the latest ack heard before it was made
         cfg = small_config(regime="unstable", jitter_mean_ms=40.0, bottleneck_mbps=4.0)
         sim = Simulation(cfg)
-        for rt in sim.flows.values():
-            rt.stash = Stash()
+        marks = {f: [] for f in sim.flows}
+
+        def recording(f, mark):
+            def wrapper(idx):
+                result = mark(idx)
+                marks[f].append((idx, result))
+                return result
+            return wrapper
+
+        for f, rt in sim.flows.items():
+            rt.mark = recording(f, rt.mark)
         result = sim.run()
-        assert Stash.held > 0
+        # marks are made in arrival order: a send marked after a later one was overtaken
+        assert any(a > b for m in marks.values() for (a, _), (b, _) in zip(m, m[1:]))
+        for f, rt in sim.flows.items():
+            # every send is marked once, at its frame's arrival
+            assert sorted(i for i, _ in marks[f]) == list(range(len(rt.trace.frames)))
+            log = list(zip(rt.ack_heard_us, rt.ack_idx))
+            for idx, got in marks[f]:
+                expected = (0.0, 0)
+                before = [a for a in log if a[0] < rt.send_us[idx]]
+                if before:
+                    heard_at_us, ref_idx = before[-1]
+                    if 1 <= idx - ref_idx <= 255:
+                        rtt = heard_at_us / US_PER_MS - rt.trace.frames[ref_idx].send_time_ms
+                        expected = (float(saturate_ms(rtt)), idx - ref_idx)
+                assert got == expected
         # the conservation check runs after every event
         checked = Simulation(cfg, check_invariants=True).run()
         assert checked.summary_csv() == result.summary_csv()
@@ -280,7 +297,6 @@ class TestRuns:
             counters = checked.flow_counters[f]
             assert counters["generated"] == counters["arrived"] == len(rt.trace.frames)
             assert counters["forwarded"] + counters["dropped"] == counters["generated"]
-            assert not rt.stash
 
     def test_edf_single_flow_serves_in_fifo_order(self):
         cfg = small_config(n_flows=1, bitrate_mbps_min=2.0, bitrate_mbps_max=2.0,

@@ -167,13 +167,15 @@ class TestWireRanges:
         (dict(bitrate_bps=1e300), "bitrate_bps/chunk_s"),
         (dict(i_frame_ratio=math.nan), "i_frame_ratio"),
         (dict(gamma_shape=math.nan), "gamma_shape"),
+        (dict(gamma_shape=1e-320), "gamma_shape"),
         (dict(uplink_ms=math.nan), "uplink_ms"),
         (dict(uplink_ms=math.inf), "uplink_ms"),
         (dict(uplink_ms=-1.0), "uplink_ms"),
     ], ids=["huge-video", "infinite-chunk-count", "one-chunk-too-many",
             "infinite-frame-count", "256-tiles", "gop-of-256", "gop-of-0",
             "nan-bitrate", "infinite-bitrate", "chunk-past-max-bytes", "nan-i-frame-ratio",
-            "nan-gamma-shape", "nan-uplink", "infinite-uplink", "negative-uplink"])
+            "nan-gamma-shape", "gamma-scale-past-max-bytes", "nan-uplink", "infinite-uplink",
+            "negative-uplink"])
     def test_rejected_naming_the_fields(self, fields, names):
         with pytest.raises(ValueError, match=f"^{names}:"):
             TraceParams(**fields).validate()
