@@ -7,12 +7,15 @@ its ``src/`` is that commit's, its source hash, the Python version, and
 each end-to-end metric's values, median and quartiles. Given two
 checkouts, the runs go in pairs on one seed each, alternating which
 checkout runs first, and the file counts the pairs the second checkout
-wins on each metric, in the direction BENCHMARK.json names. Example, the
-parent commit against the one checked out:
+wins on each metric, in the direction BENCHMARK.json names. With
+``--reproduce`` it also times ``scripts/reproduce_results.py`` on 1 and 2
+workers in each checkout, in the same alternating pairs, on seeds 1-5 (seed
+1 with ``--seconds 0``). Example, the parent commit against the one checked
+out:
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python scripts/bench_record.py --number 13 --tree parent=../parent \\
-        --tree change=. --runs 10
+        --tree change=. --runs 10 --reproduce
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,6 +46,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.splitlines()
     host = json.loads(next(ln for ln in lines if ln.startswith("host "))[5:])
     return {"host": host, "result": json.loads(lines[-1])}
+
+
+def time_reproduce(tree: Path, workers: int, seeds: str) -> float:
+    """Host seconds of one ``scripts/reproduce_results.py`` run in ``tree``.
+
+    Its results go to a temporary directory, removed afterwards.
+    """
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "scripts/reproduce_results.py", "--seeds", seeds,
+             "--workers", str(workers), "--out", out],
+            cwd=tree, capture_output=True, text=True, check=False,
+        )
+        elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: scripts/reproduce_results.py --workers {workers} exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+    return elapsed
 
 
 def tree_commit(tree: Path) -> dict:
@@ -74,8 +98,32 @@ def summarize(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
+def record_reproduce(trees: dict[str, Path], runs: int, seeds: str) -> dict:
+    """Host seconds of ``scripts/reproduce_results.py`` on 1 and 2 workers, per checkout.
+
+    Each of the ``runs`` rounds runs every checkout on both worker counts,
+    alternating which checkout goes first. Given two checkouts, the second's
+    wins count the rounds in which it took less time.
+    """
+    labels = list(trees)
+    values: dict[int, dict[str, list[float]]] = {w: {label: [] for label in labels}
+                                                 for w in (1, 2)}
+    for j in range(runs):
+        for label in labels if j % 2 == 0 else labels[::-1]:
+            for workers, by_label in values.items():
+                by_label[label].append(time_reproduce(trees[label], workers, seeds))
+    out: dict = {"seeds": seeds, "unit": "s"}
+    for workers, by_label in values.items():
+        entry = {label: summarize(v) for label, v in by_label.items()}
+        if len(labels) == 2:
+            base, new = by_label.values()
+            entry[f"{labels[1]}_wins_of_{runs}"] = sum(b < a for a, b in zip(base, new))
+        out[f"workers_{workers}"] = entry
+    return out
+
+
 def record(spec: dict, trees: dict[str, Path], workloads: list[str], runs: int,
-           seconds: float, seed: int) -> dict:
+           seconds: float, seed: int, reproduce: bool = False) -> dict:
     """The BENCH file's content; ``spec`` is BENCHMARK.json."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     labels = list(trees)
@@ -108,6 +156,8 @@ def record(spec: dict, trees: dict[str, Path], workloads: list[str], runs: int,
                 wins[name] = sum(sign * (b - a) > 0 for a, b in zip(base[name], new[name]))
             entry[f"{labels[1]}_wins_of_{runs}"] = wins
         out["workloads"][workload] = entry
+    if reproduce:
+        out["reproduce"] = record_reproduce(trees, runs, "1" if seconds == 0 else "1,2,3,4,5")
     return out
 
 
@@ -126,6 +176,9 @@ def main(argv=None) -> int:
                         help="the benchmark's run length, or 0 for one pass of each "
                              "workload (a smoke run)")
     parser.add_argument("--seed", type=int, default=1, help="run j uses seed + j")
+    parser.add_argument("--reproduce", action="store_true",
+                        help="also time scripts/reproduce_results.py on 1 and 2 workers, "
+                             "--runs times per checkout, on seeds 1-5 (1 with --seconds 0)")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     trees = {}
@@ -141,7 +194,8 @@ def main(argv=None) -> int:
     if args.seconds not in (0, spec["run_seconds"]):
         parser.error(f"--seconds: BENCHMARK.json sets the run length, {spec['run_seconds']}; "
                      "0 makes a smoke run")
-    out = record(spec, trees, args.workload or names, args.runs, args.seconds, args.seed)
+    out = record(spec, trees, args.workload or names, args.runs, args.seconds, args.seed,
+                 args.reproduce)
     path = args.out_dir / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")

@@ -59,9 +59,12 @@ class FlowDelayState:
     References count frames backward in send order. Arrivals can be
     reordered by path jitter, so the history is kept sorted by the send key
     (chunk ascending, wire deadline descending: within a chunk, deadlines
-    shrink with every later send). A reference only mispairs if a frame
-    between the referenced one and the current one is still in flight,
-    which cannot happen for references a whole round trip old.
+    shrink with every later send). A frame sent between the referenced one
+    and the current one that is still in flight is not in the history yet,
+    so it shifts the reference by one, onto an earlier frame, and the mark
+    pairs with that frame's queuing delay if one is recorded. Jitter makes
+    this happen: at 25 Mbps in the unstable regime, 545 of seed 1's 8,965
+    marks resolve to the wrong frame. ROADMAP.md item 5 is the open fix.
     """
 
     alpha: float = DEFAULT_ALPHA

@@ -4,8 +4,11 @@ Per-flow servers emit frames on their trace schedule; frames cross a
 server-side access link (constant delay, optionally with exponential jitter
 per frame), queue at the single bottleneck, and are forwarded by the
 selected policy. A frame reaches the bottleneck at an instant fixed by its
-send instant and the path delay alone, so a run computes every arrival up
-front and replays them in order: a send is not an event. At most one slice
+send instant and the path delay alone, so every arrival is computed up
+front, in an arrival plan, and a run replays them in order: a send is not
+an event. The plan depends on the traces, the server delay and the jitter
+draws, not on the policy or the link, so the runs of one seed and regime
+share one plan (see :func:`vrsched.traffic.cached_plan`). At most one slice
 is ever on the link, so its end sits in one slot, not on a queue; the slice
 that completes a frame is its departure. The frame reaches the client after
 the propagation delay and is acknowledged back to the server, which hears
@@ -39,9 +42,9 @@ from .forwarder import DropAction, DwrrForwarder, EdfForwarder
 from .frame_queue import FrameQueue, QueuedFrame
 from .metrics import MetricsCollector, csv_text, summary_csv, write_text
 from .scheduling import FlowStInput, schedule_st
-from .traffic import cached_trace
+from .traffic import cached_plan, cached_trace
 from .video import US_PER_MS, US_PER_S, FlowTrace, FrameMeta, read_trace
-from .wire import saturate_ms
+from .wire import MAX_MS, saturate_ms
 
 NEVER = 2**63 - 1   # the instant of an event that is not due
 # the last send instant the int64 microsecond clock takes, with room for the path delays
@@ -51,12 +54,12 @@ _JITTER_STREAM = 2
 
 
 def arrival_instants(send_us: np.ndarray, server_delay_ms: float, jitter_mean_ms: float,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: Optional[np.random.Generator]) -> np.ndarray:
     """Bottleneck arrival instants (int64 µs) of one flow's frames sent at ``send_us``.
 
     Each frame takes ``server_delay_ms`` plus, when ``jitter_mean_ms`` is
     positive, one exponential draw from ``rng``, drawn in send order; ``rng``
-    is not drawn when it is 0.0, as on a stable link.
+    is not drawn, and may be ``None``, when it is 0.0, as on a stable link.
     """
     delay_ms = server_delay_ms
     if jitter_mean_ms > 0:
@@ -114,14 +117,84 @@ def arrival_schedule(send_us: list[np.ndarray], arrival_us: list[np.ndarray]
     return instants[order], flow[order], idx[order]
 
 
+def wire_deadlines(deadline_ms: np.ndarray) -> np.ndarray:
+    """``float(saturate_ms(d))`` of each finite deadline ``d``, in one pass.
+
+    ``np.rint`` rounds half to even, as ``round`` does, and adding 0.0
+    turns the -0.0 that rounding or clamping a small negative leaves into
+    the 0.0 that ``float(0)`` gives.
+    """
+    return np.clip(np.rint(deadline_ms), 0.0, float(MAX_MS)) + 0.0
+
+
+def _read_only(a: np.ndarray) -> memoryview:
+    a.flags.writeable = False
+    return memoryview(a)
+
+
+def _narrow(a: np.ndarray, top: int) -> memoryview:
+    """``a``, whose values lie in ``0..top``, in the narrowest type that holds them."""
+    return _read_only(a.astype(np.min_scalar_type(top)))
+
+
+@dataclass(frozen=True, eq=False)
+class ArrivalPlan:
+    """Every arrival of a run, with the columns its arrivals read.
+
+    It depends only on the traces, the server delay and the jitter draws,
+    so runs that share those share one plan, and nothing in it can be
+    changed. It outlives the run that built it, so each column is kept in
+    the narrowest type that holds its values exactly; the views' items read
+    back as Python ints and floats.
+    """
+
+    arrival_us: memoryview   # each arrival's instant, in arrival order, then NEVER
+    arrival_flow: memoryview
+    arrival_idx: memoryview   # the arriving frame's trace index
+    send_us: tuple[memoryview, ...]   # each flow's int64 send instants, in trace order
+    # each frame's deadline as the wire carries it: a whole number of ms up
+    # to 65535, so float32 holds it exactly
+    wire_ddl_ms: tuple[memoryview, ...]
+
+
+def build_arrival_plan(traces: list[FlowTrace], seed: int, server_delay_ms: float,
+                       jitter_mean_ms: float) -> ArrivalPlan:
+    """The plan of the runs of ``traces``, flow ``f`` on ``traces[f]``.
+
+    Flow ``f``'s jitter is drawn from its own stream of ``seed``, made only
+    when there is jitter to draw.
+    """
+    sends, arrivals, ddls = [], [], []
+    for f, trace in enumerate(traces):
+        frames = trace.frames
+        send_ms = np.fromiter((m.send_time_ms for m in frames), np.float64, len(frames))
+        send_us = np.rint(send_ms * US_PER_MS).astype(np.int64)
+        rng = None
+        if jitter_mean_ms > 0:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(f, _JITTER_STREAM)))
+        sends.append(send_us)
+        arrivals.append(arrival_instants(send_us, server_delay_ms, jitter_mean_ms, rng))
+        ddl_ms = np.fromiter((m.deadline_ms for m in frames), np.float64, len(frames))
+        ddls.append(_read_only(wire_deadlines(ddl_ms).astype(np.float32)))
+    instants, flows, idxs = arrival_schedule(sends, arrivals)
+    return ArrivalPlan(
+        arrival_us=_read_only(np.append(instants, NEVER)),
+        arrival_flow=_narrow(flows, max(len(traces) - 1, 0)),
+        arrival_idx=_narrow(idxs, max((len(t.frames) - 1 for t in traces), default=0)),
+        send_us=tuple(map(_read_only, sends)),
+        wire_ddl_ms=tuple(ddls),
+    )
+
+
 @dataclass
 class _FlowRuntime:
     trace: FlowTrace
     queue: FrameQueue
     tracker: FlowDelayState
     stats: ArrivalServiceStats
-    jitter_rng: np.random.Generator
-    send_us: Optional[memoryview] = None   # int64 send instants in trace order, set by run()
+    # the plan's int64 send instants and wire deadlines, in trace order; set by run()
+    send_us: Optional[memoryview] = None
+    wire_ddl_ms: Optional[memoryview] = None
     # the ack log, in the order the server hears the acks: when it hears
     # each, and the send index it acks
     ack_heard_us: array = field(default_factory=lambda: array("q"))
@@ -225,6 +298,7 @@ class Simulation:
         self.jitter_mean_ms = config.jitter_mean_ms if config.regime == "unstable" else 0.0
 
         self.flows: dict[int, _FlowRuntime] = {}
+        trace_params = []
         for f in range(config.n_flows):
             if config.trace_files:
                 try:
@@ -232,7 +306,8 @@ class Simulation:
                 except ValueError as exc:
                     raise ConfigError(f"trace_files: {exc}") from exc
             else:
-                trace = cached_trace(config.trace_params(f), config.seed)
+                trace_params.append(config.trace_params(f))
+                trace = cached_trace(trace_params[-1], config.seed)
             if trace.frames and not trace.frames[-1].send_time_ms <= MAX_SEND_MS:
                 source = "trace_files" if config.trace_files else "video_s"
                 raise ConfigError(f"{source}: flow {f} sends at "
@@ -249,10 +324,10 @@ class Simulation:
                     prior_external_ms=config.prior_external_ms,
                 ),
                 stats=ArrivalServiceStats(alpha=config.ewma_alpha),
-                jitter_rng=np.random.default_rng(
-                    np.random.SeedSequence(config.seed, spawn_key=(f, _JITTER_STREAM))
-                ),
             )
+        # what the arrivals depend on; file traces are not cached, so neither is their plan
+        self._plan_key = None if config.trace_files else (
+            config.seed, tuple(trace_params), self.server_delay_ms, self.jitter_mean_ms)
 
         self._queues = {f: rt.queue for f, rt in self.flows.items()}
         self.forwarder = (EdfForwarder if kind == EDF else DwrrForwarder)(list(self.flows))
@@ -319,8 +394,7 @@ class Simulation:
         rt.arrived += 1
         rtt_ms, ref_offset = rt.mark(idx)
         meta = rt.trace.frames[idx]
-        # the option's deadline as the bottleneck reads it off the wire
-        ddl_ms = float(saturate_ms(meta.deadline_ms))
+        ddl_ms = rt.wire_ddl_ms[idx]   # the option's deadline as the bottleneck reads it
 
         tracker = rt.tracker
         tracker.on_arrival(meta.id, meta.id.c, ddl_ms, rtt_ms, ref_offset)
@@ -490,26 +564,17 @@ class Simulation:
                     f"+ dropped {rt.dropped} + outstanding {outstanding}"
                 )
 
-    def _arrival_schedule(self) -> tuple[memoryview, memoryview, memoryview]:
-        """Every frame's arrival as (instant, flow, trace index), in arrival order.
-
-        Views whose items read back as Python ints; the instants end with a
-        ``NEVER`` sentinel.
-        """
-        sends, arrivals = [], []
-        for rt in self.flows.values():
-            frames = rt.trace.frames
-            send_ms = np.fromiter((m.send_time_ms for m in frames), np.float64, len(frames))
-            send_us = np.rint(send_ms * US_PER_MS).astype(np.int64)
-            rt.send_us = memoryview(send_us)
-            sends.append(send_us)
-            arrivals.append(arrival_instants(send_us, self.server_delay_ms,
-                                             self.jitter_mean_ms, rt.jitter_rng))
-        instants, flows, idxs = arrival_schedule(sends, arrivals)
-        return memoryview(np.append(instants, NEVER)), memoryview(flows), memoryview(idxs)
+    def arrival_plan(self) -> ArrivalPlan:
+        """This run's arrival plan: the cached one when the last plan built has its key."""
+        return cached_plan(self._plan_key, build_arrival_plan,
+                           [rt.trace for rt in self.flows.values()], self.config.seed,
+                           self.server_delay_ms, self.jitter_mean_ms)
 
     def run(self) -> RunResult:
-        arrival_us, arrival_flow, arrival_idx = self._arrival_schedule()
+        plan = self.arrival_plan()
+        for f, rt in self.flows.items():
+            rt.send_us, rt.wire_ddl_ms = plan.send_us[f], plan.wire_ddl_ms[f]
+        arrival_us, arrival_flow, arrival_idx = plan.arrival_us, plan.arrival_flow, plan.arrival_idx
         self._last_arrival_us = arrival_us[-2] if len(arrival_us) > 1 else -1
         k = 0
         lti_us, sti_us = (self.delta_us, 0) if self.flows else (NEVER, NEVER)

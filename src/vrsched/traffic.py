@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from types import MappingProxyType
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -294,8 +295,16 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
     )
 
 
-# The traces of one seed, keyed by (params, seed); see cached_trace.
+# The traces of one seed, keyed by (params, seed), and the arrival plan of
+# its runs, keyed by what the plan depends on; see cached_trace and cached_plan.
 _TRACE_CACHE: dict[tuple[TraceParams, int], FlowTrace] = {}
+_PLAN_CACHE: dict[tuple, Any] = {}
+
+
+def clear_caches() -> None:
+    """Forget the cached traces and the cached arrival plan."""
+    _TRACE_CACHE.clear()
+    _PLAN_CACHE.clear()
 
 
 def cached_trace(params: TraceParams, seed: int) -> FlowTrace:
@@ -303,13 +312,31 @@ def cached_trace(params: TraceParams, seed: int) -> FlowTrace:
 
     A trace depends only on ``(params, seed)``, so runs of one seed that
     differ in policy, link or regime share their traces, which are
-    immutable. The cache is emptied before a trace of another seed is
-    made, so two seeds' traces are never held at once.
+    immutable. The cache, and the plan cache with it, is emptied before a
+    trace of another seed is made, so two seeds' traces are never held at
+    once.
     """
     key = (params, seed)
     trace = _TRACE_CACHE.get(key)
     if trace is None:
         if _TRACE_CACHE and next(iter(_TRACE_CACHE))[1] != seed:
-            _TRACE_CACHE.clear()
+            clear_caches()
         trace = _TRACE_CACHE[key] = generate_trace(params, seed)
     return trace
+
+
+def cached_plan(key: Optional[tuple], build: Callable[..., Any], *args: Any) -> Any:
+    """``build(*args)`` through a cache that holds one plan, the last one built.
+
+    ``key`` names everything the plan depends on; a ``None`` key is never
+    cached. The cache is emptied before a plan is built and whenever the
+    trace cache is, so at most one seed's plan is held, and only beside
+    that seed's traces.
+    """
+    plan = _PLAN_CACHE.get(key)   # a None key is never stored
+    if plan is None:
+        _PLAN_CACHE.clear()
+        plan = build(*args)
+        if key is not None:
+            _PLAN_CACHE[key] = plan
+    return plan

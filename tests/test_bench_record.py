@@ -32,6 +32,23 @@ def test_records_one_tiny_run(tmp_path):
     assert this["ok_frac"]["median"] == 1.0
 
 
+def test_times_the_reproduction_on_one_and_two_workers(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--number", "0", "--workload", "overload-deep",
+         "--runs", "1", "--seconds", "0", "--reproduce", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reproduce = json.loads((tmp_path / "BENCH_0.json").read_text())["reproduce"]
+    assert set(reproduce) == {"seeds", "unit", "workers_1", "workers_2"}
+    assert reproduce["seeds"] == "1"
+    for workers in ("workers_1", "workers_2"):
+        assert set(reproduce[workers]) == {"this"}
+        got = reproduce[workers]["this"]
+        assert len(got["values"]) == 1
+        assert got["q1"] == got["median"] == got["q3"] == got["values"][0] > 0
+
+
 def test_rejects_a_tree_that_is_not_a_checkout(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--number", "0", "--tree", f"x={tmp_path}",
@@ -79,6 +96,24 @@ def test_names_the_commit_and_whether_src_is_it(tmp_path):
     (tmp_path / "src" / "b.py").unlink()
     (tmp_path / "src" / "a.py").write_text("x = 2\n")
     assert tree_commit(tmp_path) == {"commit": head, "src_matches_commit": False}
+
+
+def test_reproduce_rounds_alternate_and_count_the_wins(monkeypatch):
+    module = _load_script()
+    seconds = {("a", 1): 20.0, ("a", 2): 11.0, ("b", 1): 19.0, ("b", 2): 12.0}
+    calls = []
+
+    def fake(tree, workers, seeds):
+        calls.append((tree.name, workers, seeds))
+        return seconds[(tree.name, workers)]
+
+    monkeypatch.setattr(module, "time_reproduce", fake)
+    got = module.record_reproduce({"a": Path("a"), "b": Path("b")}, 2, "1,2")
+    assert calls == [("a", 1, "1,2"), ("a", 2, "1,2"), ("b", 1, "1,2"), ("b", 2, "1,2"),
+                     ("b", 1, "1,2"), ("b", 2, "1,2"), ("a", 1, "1,2"), ("a", 2, "1,2")]
+    assert got["workers_1"]["a"]["values"] == [20.0, 20.0]
+    assert got["workers_1"]["b_wins_of_2"] == 2
+    assert got["workers_2"]["b_wins_of_2"] == 0
 
 
 def test_a_tree_that_is_not_a_checkout_matches_no_commit(tmp_path):

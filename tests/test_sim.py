@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import struct
 import weakref
 from pathlib import Path
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import inject_delay, replay_arrival_order
+from vrsched import traffic
 from vrsched.config import ConfigError, SimConfig
-from vrsched.sim import Simulation, arrival_instants, arrival_schedule, run
+from vrsched.sim import Simulation, arrival_instants, arrival_schedule, run, wire_deadlines
 from vrsched.traffic import generate_trace
 from vrsched.video import TRACE_HEADER, US_PER_MS, write_trace
 from vrsched.wire import saturate_ms
@@ -503,3 +505,140 @@ class TestLifetime:
             assert ref() is None
         finally:
             gc.enable()
+
+
+ALL_POLICIES = ("proposed", "rr", "edf", "no-order",
+                "single-ts-1000", "single-ts-500", "single-ts-50")
+
+
+@pytest.fixture
+def empty_caches(monkeypatch):
+    monkeypatch.setattr(traffic, "_TRACE_CACHE", {})
+    monkeypatch.setattr(traffic, "_PLAN_CACHE", {})
+
+
+@pytest.mark.usefixtures("empty_caches")
+class TestArrivalPlan:
+    """The runs of one seed and regime share one arrival plan."""
+
+    def test_runs_of_one_seed_share_one_plan(self):
+        plan = Simulation(small_config(policy="proposed", seed=3)).arrival_plan()
+        other = Simulation(small_config(policy="rr", bottleneck_mbps=9.0, seed=3))
+        assert other.arrival_plan() is plan
+        other.run()
+        for f, rt in other.flows.items():
+            assert rt.send_us is plan.send_us[f]
+            assert rt.wire_ddl_ms is plan.wire_ddl_ms[f]
+        jittered = Simulation(small_config(policy="proposed", regime="unstable", seed=3))
+        assert jittered.arrival_plan() is not plan
+        assert bytes(jittered.arrival_plan().arrival_us) != bytes(plan.arrival_us)
+
+    def test_another_seed_frees_the_old_plan(self, monkeypatch):
+        sim = Simulation(small_config(seed=3))
+        sim.run()
+        plan_ref = weakref.ref(sim.arrival_plan())
+        refs = [plan_ref, *(weakref.ref(rt.trace) for rt in sim.flows.values())]
+        del sim
+        gc.collect()
+        assert all(ref() is not None for ref in refs)   # the caches hold them
+        alive = []
+
+        def checking(params, seed):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            return generate_trace(params, seed)
+
+        monkeypatch.setattr(traffic, "generate_trace", checking)
+        Simulation(small_config(seed=4)).run()
+        gc.collect()
+        assert plan_ref() is None
+        assert alive == [[False] * len(refs)] * 2   # the old seed was gone before each trace
+
+    def test_trace_file_runs_do_not_share_a_plan(self, tmp_path):
+        cfg = small_config()
+        paths = []
+        for f in range(cfg.n_flows):
+            paths.append(str(tmp_path / f"flow{f}.csv"))
+            write_trace(generate_trace(cfg.trace_params(f), cfg.seed), paths[-1])
+        cfg = dataclasses.replace(cfg, trace_files=tuple(paths))
+        plan = Simulation(cfg).arrival_plan()
+        again = Simulation(cfg).arrival_plan()
+        assert again is not plan
+        assert bytes(again.arrival_us) == bytes(plan.arrival_us)
+        assert not traffic._PLAN_CACHE
+
+    def test_shared_arrays_reject_writes(self):
+        plan = Simulation(small_config(regime="unstable")).arrival_plan()
+        views = [plan.arrival_us, plan.arrival_flow, plan.arrival_idx,
+                 *plan.send_us, *plan.wire_ddl_ms]
+        for view in views:
+            assert view.readonly
+            with pytest.raises(TypeError):
+                view[0] = view[0]
+            with pytest.raises(ValueError):
+                np.asarray(view)[0] = 0
+
+    def test_a_reused_plan_makes_no_generator(self, monkeypatch):
+        run(small_config(policy="proposed", regime="unstable"))
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        run(small_config(policy="edf", regime="unstable", bottleneck_mbps=8.0))
+        assert made == []
+        run(small_config(policy="edf", regime="unstable", seed=6))
+        assert len(made) == 3 * small_config().n_flows   # sizes, walk and jitter per flow
+
+    @pytest.mark.parametrize("regime", ["stable", "unstable"])
+    def test_policy_outputs_do_not_depend_on_run_order(self, regime):
+        configs = [small_config(policy=p, regime=regime, video_s=3.0, n_flows=3,
+                                bottleneck_mbps=7.0)
+                   for p in ALL_POLICIES]
+
+        def digests(cfgs, fresh):
+            out = {}
+            for cfg in cfgs:
+                if fresh:
+                    traffic.clear_caches()
+                result = run(cfg)
+                text = result.summary_csv() + result.metrics_csv()
+                out[cfg.policy] = hashlib.sha256(text.encode()).hexdigest()
+            return out
+
+        forward = digests(configs, fresh=False)
+        assert digests(configs[::-1], fresh=False) == forward
+        assert digests(configs, fresh=True) == forward
+        assert len(set(forward.values())) == len(ALL_POLICIES)
+
+
+# finite doubles, with the cases the wire's rounding and clamping turn on
+deadlines = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.0, 2.0),
+    st.floats(65_530.0, 65_540.0),
+    st.integers(-70_000, 70_000).map(lambda i: i + 0.5),   # exact ties
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, 65_534.5, 65_535.5, 65_536.0]),
+)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestWireDeadlines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(deadlines, max_size=40))
+    def test_equal_saturate_ms_bit_for_bit(self, values):
+        got = wire_deadlines(np.array(values, dtype=np.float64))
+        assert _bits(got.tolist()) == _bits(float(saturate_ms(d)) for d in values)
+
+    def test_plan_column_is_each_frames_wire_deadline(self):
+        sim = Simulation(small_config(regime="unstable"))
+        plan = sim.arrival_plan()
+        for f, rt in sim.flows.items():
+            want = [float(saturate_ms(m.deadline_ms)) for m in rt.trace.frames]
+            assert _bits(plan.wire_ddl_ms[f]) == _bits(want)
