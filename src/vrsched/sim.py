@@ -18,13 +18,13 @@ log when the frame reaches the bottleneck, which by then holds every ack
 heard before the send instant.
 
 Time is integer microseconds throughout. At equal timestamps the link end
-runs first, then arrivals in the order the server sent them, then the long
-and the short tick, so runs are bit-reproducible for a given (config, seed).
+runs first, then arrivals in the order they were sent, sends made at one
+instant going by trace index and then by flow, then the long and the short
+tick, so runs are bit-reproducible for a given (config, seed).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from bisect import bisect_left
@@ -67,45 +67,14 @@ def arrival_instants(send_us: np.ndarray, server_delay_ms: float, jitter_mean_ms
     return send_us + np.rint(np.multiply(delay_ms, US_PER_MS)).astype(np.int64)
 
 
-def _send_rank(send_us: list[np.ndarray], n: int) -> np.ndarray:
-    """Each send's rank in the order the servers make them.
-
-    Entries are indexed as the flows' concatenated send instants, ``n`` of
-    them. The order is that of a send queue keyed by (instant, insertion
-    order) into which each flow's first send goes up front, in flow order,
-    and each later send when its flow's previous send is made. So at one
-    instant a flow's first send comes first, and any other send follows the
-    previous send of its flow: a tie on (instant, flow) is not the same rule.
-    """
-    sends = [memoryview(s) for s in send_us]   # items read back as Python ints
-    start = np.cumsum([0] + [len(s) for s in sends]).tolist()
-    queue = [(s[0], f, f) for f, s in enumerate(sends) if len(s)]   # (instant, key, flow)
-    heapq.heapify(queue)
-    nxt = [0] * len(sends)
-    order = array("q")
-    key = len(sends)   # insertion keys after the first sends
-    while queue:
-        f = queue[0][2]
-        i = nxt[f]
-        order.append(start[f] + i)
-        nxt[f] = i = i + 1
-        if i < len(sends[f]):
-            heapq.heapreplace(queue, (sends[f][i], key, f))
-        else:
-            heapq.heappop(queue)
-        key += 1
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.frombuffer(order, dtype=np.int64)] = np.arange(n)
-    return rank
-
-
 def arrival_schedule(send_us: list[np.ndarray], arrival_us: list[np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(arrival instant, flow, trace index) of every frame, in the order they arrive.
 
     ``send_us[f]`` and ``arrival_us[f]`` are flow ``f``'s int64 send and
     arrival instants in trace order. Frames that arrive at one instant
-    arrive in the order they were sent. Flows and indices are int32.
+    arrive in the order they were sent, and sends made at one instant go
+    by trace index, then by flow. Flows and indices are int32.
     """
     if not send_us:
         empty = np.empty(0, dtype=np.int64)
@@ -113,7 +82,7 @@ def arrival_schedule(send_us: list[np.ndarray], arrival_us: list[np.ndarray]
     flow = np.repeat(np.arange(len(send_us), dtype=np.int32), [len(s) for s in send_us])
     idx = np.concatenate([np.arange(len(s), dtype=np.int32) for s in send_us])
     instants = np.concatenate(arrival_us)
-    order = np.lexsort((_send_rank(send_us, len(flow)), instants))
+    order = np.lexsort((flow, idx, np.concatenate(send_us), instants))
     return instants[order], flow[order], idx[order]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from vrsched import sim, traffic
 from vrsched.cli import aggregate, main, sweep_grid, sweep_grids
 from vrsched.config import SimConfig, apply_overrides, load_config, ConfigError
+from vrsched.sim import build_arrival_plan
 from vrsched.video import TRACE_HEADER
 
 REPRODUCE = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
@@ -285,7 +289,6 @@ class TestSweep:
         from vrsched.sim import run as run_sim
         cfg = SimConfig(**TINY)
         cell = sweep_grid(cfg, [6.0], ["proposed"], [4])[0]
-        import dataclasses
         direct = run_sim(dataclasses.replace(cfg, bottleneck_mbps=6.0,
                                              policy="proposed", seed=4)).summary
         for key in ("total_quality_loss", "per_flow_loss_std", "avg_drop_rate"):
@@ -303,6 +306,24 @@ class TestSweep:
         grids = [(cfg, [5.0, 6.0], ["proposed", "rr"]), (no_drop, [6.0], ["edf"])]
         assert (sweep_grids(grids, [1, 2], workers)
                 == [sweep_grid(c, b, p, [1, 2]) for c, b, p in grids])
+
+    def test_reproduction_builds_one_plan_per_seed_and_regime(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("reproduce_results", REPRODUCE)
+        reproduce = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reproduce)
+        built = []
+
+        def counting(traces, seed, server_delay_ms, jitter_mean_ms):
+            built.append((seed, jitter_mean_ms))
+            return build_arrival_plan(traces, seed, server_delay_ms, jitter_mean_ms)
+
+        monkeypatch.setattr(sim, "build_arrival_plan", counting)
+        traffic.clear_caches()
+        # the families' grids on a 2-s video: the order of the runs is what counts
+        grids = [(dataclasses.replace(cfg, video_s=2.0), *rest)
+                 for _, cfg, *rest in reproduce.families()]
+        sweep_grids(grids, [1, 2], workers=1)
+        assert built == [(1, 0.0), (1, 15.0), (2, 0.0), (2, 15.0)]
 
     def test_ablation_preset_policy_set(self, tmp_path):
         cfg = write_config(tmp_path, video_s=2.0)

@@ -92,15 +92,17 @@ class TestInjectDelay:
 
 @st.composite
 def schedules(draw):
-    """Small per-flow send and arrival instants, with many ties.
+    """(send, arrival, shared): small per-flow instants, with many ties.
 
-    Flows share one send grid, or each draws its own, repeated instants
-    included. Jitter is off (one constant delay), small integer delays
-    (overtaking and arrival ties), or drawn as the simulator draws it.
+    Flows send on prefixes of one shared grid, as every generated trace
+    does, or each draws its own, repeated instants included. Jitter is off
+    (one constant delay), small integer delays (overtaking and arrival
+    ties), or drawn as the simulator draws it.
     """
     n_flows = draw(st.integers(1, 4))
     instants = st.lists(st.integers(0, 4), max_size=8).map(lambda g: np.cumsum(g))
-    if draw(st.booleans()):
+    shared = draw(st.booleans())
+    if shared:
         grid = draw(instants)
         send = [grid[:draw(st.integers(0, len(grid)))] for _ in range(n_flows)]
     else:
@@ -118,32 +120,57 @@ def schedules(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         arrival = [arrival_instants(s * 1000, 1.0, 2.0, rng) for s in send]
         send = [s * 1000 for s in send]
-    return send, arrival
+    return send, arrival, shared
 
 
 # SHA-256 of repr((event_log, lt_log, st_log)) + summary_csv() for two flows
 # on offset send grids (tests/golden/offset_grid_flow*.csv), stable regime.
 OFFSET_GRID_DIGESTS = {
-    ("edf", 10.0): "f012e568daf1d0d4630f29c9857aa9df7aefe150918e5a4d33addac2def60773",
-    ("edf", 40.0): "3f2d36cab92d7862767ebed7edeb7ce58c3bfc784ad2d18e0c971093372a947e",
-    ("proposed", 10.0): "cc77ce495540833e14f0a285f87edd2461a65a626a356b4c60cb8743a4a35423",
-    ("proposed", 40.0): "c5090d9733e79aba5c079ff6517b5d9828e29d906e462d5dc15cc8d97a48b4d6",
-    ("rr", 10.0): "2488ea9c849685923674dc21e0824c91d0d441c28a80e24f2b34996e124d963d",
-    ("rr", 40.0): "c4b6ae0652ae268906433442b152011cf5b65907fc7362bf9030991966d5683b",
+    ("edf", 10.0): "e59a6d9cf4cd59b29f316de091c2dec2a8dd6e74ef50219321bc9e771bca4cdd",
+    ("edf", 40.0): "4589703a8a35909231446d73b41b290a40dc2e4be4727a3cd17db74421ce8dc3",
+    ("proposed", 10.0): "5e8f60e24883b624347f241ba8bd8db9f706c68f16f6dffaadf8d7f911075c5f",
+    ("proposed", 40.0): "69eeda42c20e7a57bd95009cafaf2876f089d18283c565e7a8deb72bbb6ad91c",
+    ("rr", 10.0): "eb4ed994a340a0b2fee13457aaeecd5e6251b30f54715dca58917c85e3334e20",
+    ("rr", 40.0): "930285809a53f93eee7df6f39151f001cc3ded494604a9ddb29e911f002b4cd8",
 }
 
 
 class TestArrivalOrder:
-    """Frames arriving at one instant arrive in the order their sends were made."""
+    """Frames arrive by (instant, send instant, trace index, flow)."""
 
     @settings(max_examples=300, deadline=None)
     @given(schedules())
     def test_order_equals_the_event_heap_replay(self, schedule):
-        send, arrival = schedule
+        # on a shared send grid, sends at one instant go by trace index,
+        # then by flow, as an event heap's insertion order has them
+        send, arrival, shared = schedule
         instants, flows, idxs = arrival_schedule(send, arrival)
         order = list(zip(flows.tolist(), idxs.tolist()))
-        assert order == replay_arrival_order(send, arrival)
+        assert order == sorted(order, key=lambda fi: (arrival[fi[0]][fi[1]],
+                                                      send[fi[0]][fi[1]], fi[1], fi[0]))
+        if shared:
+            assert order == replay_arrival_order(send, arrival)
         assert instants.tolist() == [int(arrival[f][i]) for f, i in order]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_flows=st.integers(1, 6), regime=st.sampled_from(["stable", "unstable"]),
+           chunk_s=st.sampled_from([1e-5, 2e-5, 1e-4, 1e-2, 1.0]),
+           n_chunks=st.integers(1, 3), jitter_mean_ms=st.sampled_from([1e-3, 0.1, 15.0]),
+           seed=st.integers(0, 2**16))
+    def test_generated_traces_arrive_in_event_heap_order(self, n_flows, regime, chunk_s,
+                                                         n_chunks, jitter_mean_ms, seed):
+        # every flow of a config sends on one grid; at chunk_s = 1e-5 or
+        # 2e-5 a chunk's 30 frames are under 1 us apart, so a flow sends
+        # twice in one us
+        cfg = SimConfig(n_flows=n_flows, regime=regime, chunk_s=chunk_s, fps=30 / chunk_s,
+                        video_s=n_chunks * chunk_s, jitter_mean_ms=jitter_mean_ms, seed=seed)
+        plan = Simulation(cfg).arrival_plan()
+        send = [np.asarray(s) for s in plan.send_us]
+        arrival = [np.empty(len(s), dtype=np.int64) for s in send]
+        order = list(zip(plan.arrival_flow, plan.arrival_idx))
+        for (f, i), t in zip(order, plan.arrival_us):
+            arrival[f][i] = t
+        assert order == replay_arrival_order(send, arrival)
 
     def test_no_flows_no_arrivals(self):
         assert all(len(a) == 0 for a in arrival_schedule([], []))
@@ -151,7 +178,8 @@ class TestArrivalOrder:
     @pytest.mark.parametrize("policy,bottleneck_mbps", sorted(OFFSET_GRID_DIGESTS))
     def test_offset_grids_match_pinned_digest(self, policy, bottleneck_mbps):
         # flow 0 sends at 5, 10, 20, ... ms and flow 1 at 0, 10, 20, ... ms,
-        # so from 10 ms on the two arrive together and flow 1 goes first
+        # so from 10 ms on the two arrive together, with one trace index,
+        # and flow 0 goes first
         paths = tuple(str(GOLDEN / f"offset_grid_flow{f}.csv") for f in (0, 1))
         cfg = SimConfig(n_flows=2, trace_files=paths, bottleneck_mbps=bottleneck_mbps,
                         policy=policy)
@@ -161,11 +189,12 @@ class TestArrivalOrder:
         assert digest == OFFSET_GRID_DIGESTS[(policy, bottleneck_mbps)]
 
     def test_flow_tie_is_not_the_rule(self):
-        # flow 1 sends at 0 and 10, flow 0 at 5 and 10: at 10, flow 1 sends
-        # first, because its previous send was made first
+        # flow 1 sends at 0 and 10, flow 0 at 5 and 10: at 10 both send
+        # their second frame, so the flow breaks the tie, not which flow's
+        # previous send was made first
         send = [np.array([5, 10]), np.array([0, 10])]
         _, flows, idxs = arrival_schedule(send, [s + 10 for s in send])
-        assert list(zip(flows.tolist(), idxs.tolist())) == [(1, 0), (0, 0), (1, 1), (0, 1)]
+        assert list(zip(flows.tolist(), idxs.tolist())) == [(1, 0), (0, 0), (0, 1), (1, 1)]
 
 
 class TestRuns:
