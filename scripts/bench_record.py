@@ -10,12 +10,14 @@ checkout runs first, and the file counts the pairs the second checkout
 wins on each metric, in the direction BENCHMARK.json names. With
 ``--reproduce`` it also times ``scripts/reproduce_results.py`` on 1 and 2
 workers in each checkout, in the same alternating pairs, on seeds 1-5 (seed
-1 with ``--seconds 0``). Example, the parent commit against the one checked
-out:
+1 with ``--seconds 0``). With ``--layers`` it also runs ``perfbench/run.py
+--trace 1`` once per checkout and workload, on the first seed, and records
+each layer's share of the traced self time and its call count. Example, the
+parent commit against the one checked out:
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python scripts/bench_record.py --number 13 --tree parent=../parent \\
-        --tree change=. --runs 10 --reproduce
+        --tree change=. --runs 10 --reproduce --layers
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark invocation in ``tree``: its host line and result line."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark invocation in ``tree``: its host line and result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", repr(seconds), "--trace", "0"],
+         "--seconds", repr(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=False,
     )
     if proc.returncode != 0:
@@ -122,8 +124,28 @@ def record_reproduce(trees: dict[str, Path], runs: int, seeds: str) -> dict:
     return out
 
 
+def record_layers(trees: dict[str, Path], workloads: list[str], seconds: float,
+                  seed: int) -> dict:
+    """Each layer's ``*.share`` and ``*.calls``, per workload and checkout.
+
+    One ``--trace 1`` invocation per checkout and workload, on ``seed``;
+    the checkouts take turns going first from one workload to the next.
+    """
+    labels = list(trees)
+    out: dict = {"seed": seed}
+    for i, workload in enumerate(workloads):
+        entry = {}
+        for label in labels if i % 2 == 0 else labels[::-1]:
+            result = run_once(trees[label], workload, seed, seconds, trace=1)["result"]
+            entry[label] = {"failed": result["failed"],
+                            **{name: m["value"] for name, m in result["metrics"].items()
+                               if name.endswith((".share", ".calls"))}}
+        out[workload] = {label: entry[label] for label in labels}
+    return out
+
+
 def record(spec: dict, trees: dict[str, Path], workloads: list[str], runs: int,
-           seconds: float, seed: int, reproduce: bool = False) -> dict:
+           seconds: float, seed: int, reproduce: bool = False, layers: bool = False) -> dict:
     """The BENCH file's content; ``spec`` is BENCHMARK.json."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     labels = list(trees)
@@ -158,6 +180,8 @@ def record(spec: dict, trees: dict[str, Path], workloads: list[str], runs: int,
         out["workloads"][workload] = entry
     if reproduce:
         out["reproduce"] = record_reproduce(trees, runs, "1" if seconds == 0 else "1,2,3,4,5")
+    if layers:
+        out["layers"] = record_layers(trees, workloads, seconds, seed)
     return out
 
 
@@ -179,6 +203,9 @@ def main(argv=None) -> int:
     parser.add_argument("--reproduce", action="store_true",
                         help="also time scripts/reproduce_results.py on 1 and 2 workers, "
                              "--runs times per checkout, on seeds 1-5 (1 with --seconds 0)")
+    parser.add_argument("--layers", action="store_true",
+                        help="also record each layer's share and calls from one traced "
+                             "run per checkout and workload, on --seed")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     trees = {}
@@ -195,7 +222,7 @@ def main(argv=None) -> int:
         parser.error(f"--seconds: BENCHMARK.json sets the run length, {spec['run_seconds']}; "
                      "0 makes a smoke run")
     out = record(spec, trees, args.workload or names, args.runs, args.seconds, args.seed,
-                 args.reproduce)
+                 args.reproduce, args.layers)
     path = args.out_dir / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")

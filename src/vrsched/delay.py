@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import OrderedDict
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
-
-from .video import FrameId
 
 DEFAULT_ALPHA = 0.125  # classic RTT smoothing weight
 
@@ -51,25 +49,31 @@ class FlowDelayState:
     """Bottleneck-side tracker for one flow.
 
     Keeps the paired RTT / queuing-delay EWMAs, the send-order history used
-    to resolve one-byte backward RTT references, and a bounded record of
-    realized queuing delays keyed by frame id. :meth:`on_arrival` finds an
+    to resolve one-byte backward RTT references, and the realized queuing
+    delays of the last ``history_limit`` departures. Frames are named by
+    their send index, their position in the flow's trace; ``n_sends``, the
+    trace's length, sizes the per-send columns. :meth:`on_arrival` finds an
     arriving frame's place in the history once, resolves its mark from
     there and inserts the frame there.
 
     References count frames backward in send order. Arrivals can be
     reordered by path jitter, so the history is kept sorted by the send key
     (chunk ascending, wire deadline descending: within a chunk, deadlines
-    shrink with every later send). A frame sent between the referenced one
-    and the current one that is still in flight is not in the history yet,
-    so it shifts the reference by one, onto an earlier frame, and the mark
-    pairs with that frame's queuing delay if one is recorded. Jitter makes
-    this happen: at 25 Mbps in the unstable regime, 545 of seed 1's 8,965
-    marks resolve to the wrong frame. ROADMAP.md item 5 is the open fix.
+    shrink with every later send). The key is one int, ``chunk * 65536 +
+    65535 - ddl_ms``, which orders as (chunk, -ddl_ms) does because the
+    wire carries the chunk and the deadline as whole numbers in 0..65535.
+    A frame sent between the referenced one and the current one that is
+    still in flight is not in the history yet, so it shifts the reference
+    by one, onto an earlier frame, and the mark pairs with that frame's
+    queuing delay if one is recorded. Jitter makes this happen: at 25 Mbps
+    in the unstable regime, 545 of seed 1's 8,965 marks resolve to the
+    wrong frame. ROADMAP.md item 5 is the open fix.
     """
 
     alpha: float = DEFAULT_ALPHA
     prior_external_ms: float = 20.0
     history_limit: int = 512
+    n_sends: int = 0
     rtt: EwmaStat = field(init=False)
     queue_delay: EwmaStat = field(init=False)
     net_state_ms: Optional[float] = None
@@ -79,45 +83,53 @@ class FlowDelayState:
     def __post_init__(self) -> None:
         self.rtt = EwmaStat(alpha=self.alpha)
         self.queue_delay = EwmaStat(alpha=self.alpha)
-        self._send_keys: list[tuple[int, float]] = []   # (chunk, -deadline_ms)
-        self._send_ids: list[FrameId] = []
-        self._recorded: OrderedDict[FrameId, float] = OrderedDict()
+        # the history: send keys in ascending order, and the send index of each
+        self._send_keys = array("q")
+        self._send_idx = array("q")
+        # per send index: its queuing delay, and its departure ordinal (0: not departed)
+        self._delay_ms = array("d", bytes(8 * self.n_sends))
+        self._departed = array("q", bytes(8 * self.n_sends))
+        self._departures = 0
 
-    def on_arrival(self, frame_id: FrameId, chunk: int, ddl_ms: float,
+    def on_arrival(self, send_idx: int, chunk: int, ddl_ms: float,
                    rtt_ms: float, ref_offset: int) -> None:
         """Apply an arriving frame's RTT mark, then record the frame in send order.
 
+        ``ddl_ms`` is the wire deadline, a whole number of ms in 0..65535.
         A positive ``ref_offset`` counts back from the frame's place; a
         reference before the kept history counts as an unmatched mark.
         """
-        key = (chunk, -ddl_ms)
-        keys, ids = self._send_keys, self._send_ids
+        key = chunk * 65536 + 65535 - int(ddl_ms)
+        keys, sends = self._send_keys, self._send_idx
         pos = bisect.bisect_left(keys, key)
         if ref_offset > 0:
             idx = pos - ref_offset
-            self.apply_mark(rtt_ms, ids[idx] if idx >= 0 else None)
+            self.apply_mark(rtt_ms, sends[idx] if idx >= 0 else None)
         keys.insert(pos, key)
-        ids.insert(pos, frame_id)
-        if len(ids) > self.history_limit:
-            del keys[0], ids[0]
+        sends.insert(pos, send_idx)
+        if len(sends) > self.history_limit:
+            del keys[0], sends[0]
 
-    def record_departure(self, frame_id: FrameId, q_ms: float) -> None:
-        self._recorded[frame_id] = q_ms
-        while len(self._recorded) > self.history_limit:
-            self._recorded.popitem(last=False)
+    def record_departure(self, send_idx: int, q_ms: float) -> None:
+        """Record the queuing delay of send ``send_idx``, which departs once."""
+        self._departures += 1
+        self._delay_ms[send_idx] = q_ms
+        self._departed[send_idx] = self._departures
 
-    def apply_mark(self, rtt_ms: float, ref: Optional[FrameId]) -> bool:
+    def apply_mark(self, rtt_ms: float, ref: Optional[int]) -> bool:
         """Feed one RTT mark; returns True when it matched a recorded delay.
 
-        Marks whose reference has no recorded queuing delay are counted and
-        ignored, keeping the two EWMAs sourced from the same frames.
+        A reference matches when it departed within the last
+        ``history_limit`` departures. Marks whose reference has no recorded
+        queuing delay are counted and ignored, keeping the two EWMAs sourced
+        from the same frames.
         """
-        q_ms = self._recorded.get(ref) if ref is not None else None
-        if q_ms is None:
+        departed = self._departed[ref] if ref is not None else 0
+        if not departed or departed <= self._departures - self.history_limit:
             self.unmatched_marks += 1
             return False
         self.rtt.update(rtt_ms)
-        self.queue_delay.update(q_ms)
+        self.queue_delay.update(self._delay_ms[ref])
         self.net_state_ms = self.rtt.mean - self.queue_delay.mean
         self.matched_marks += 1
         return True

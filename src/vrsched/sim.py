@@ -291,6 +291,7 @@ class Simulation:
                 tracker=FlowDelayState(
                     alpha=config.ewma_alpha,
                     prior_external_ms=config.prior_external_ms,
+                    n_sends=len(trace.frames),
                 ),
                 stats=ArrivalServiceStats(alpha=config.ewma_alpha),
             )
@@ -366,7 +367,7 @@ class Simulation:
         ddl_ms = rt.wire_ddl_ms[idx]   # the option's deadline as the bottleneck reads it
 
         tracker = rt.tracker
-        tracker.on_arrival(meta.id, meta.id.c, ddl_ms, rtt_ms, ref_offset)
+        tracker.on_arrival(idx, meta.id.c, ddl_ms, rtt_ms, ref_offset)
 
         if rt.last_arrival_us is not None:
             rt.stats.inter_arrival.update((now_us - rt.last_arrival_us) / US_PER_S)
@@ -391,7 +392,7 @@ class Simulation:
             rt.forwarded += 1
             meta = frame.meta
             q_ms = (now_us - frame.t_arrival_us) / US_PER_MS
-            rt.tracker.record_departure(meta.id, q_ms)
+            rt.tracker.record_departure(frame.send_idx, q_ms)
 
             if rt.current_rate_bps > 0:
                 rt.stats.service.update(meta.size * 8.0 / rt.current_rate_bps)

@@ -107,9 +107,16 @@ def frame_deadline(ddl_chunk_ms: float, t_send_ms: float, t_first_send_ms: float
     return ddl_chunk_ms - (t_send_ms - t_first_send_ms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FrameMeta:
-    """Immutable description of one frame as the server emits it."""
+    """Immutable description of one frame as the server emits it.
+
+    A slotted frozen record: a trace holds one per frame, so each is kept
+    small. The constructor checks the size and the importance, then stores
+    the fields; it is the only path that checks. Equality, hashing and
+    repr are the generated ones, over the fields in order, and a copy or
+    pickle round trip gives an equal frame.
+    """
 
     id: FrameId
     size: int                     # bytes
@@ -117,11 +124,24 @@ class FrameMeta:
     deadline_ms: float            # remaining lifetime at send time
     send_time_ms: float           # server send instant, flow-relative
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"frame size must be positive, got {self.size}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"importance {self.gamma} outside [0, 1]")
+    def __init__(self, id: FrameId, size: int, gamma: float, deadline_ms: float,
+                 send_time_ms: float) -> None:
+        if size <= 0:
+            raise ValueError(f"frame size must be positive, got {size}")
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"importance {gamma} outside [0, 1]")
+        # frozen: the slots are written through their descriptors, as
+        # object.__setattr__ would, without its attribute lookup
+        _set_id(self, id)
+        _set_size(self, size)
+        _set_gamma(self, gamma)
+        _set_deadline_ms(self, deadline_ms)
+        _set_send_time_ms(self, send_time_ms)
+
+
+_set_id, _set_size, _set_gamma, _set_deadline_ms, _set_send_time_ms = (
+    vars(FrameMeta)[name].__set__
+    for name in ("id", "size", "gamma", "deadline_ms", "send_time_ms"))
 
 
 @dataclass(frozen=True)

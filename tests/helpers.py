@@ -5,12 +5,15 @@ import copy
 import heapq
 import itertools
 import math
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import Optional
 
 import numpy as np
 
 from vrsched.allocation import ArrivalServiceStats
-from vrsched.delay import FlowDelayState
+from vrsched.delay import DEFAULT_ALPHA, EwmaStat
 from vrsched.forwarder import SendAction
 from vrsched.frame_queue import QueuedFrame, tolerable_time
 from vrsched.traffic import _SIZE_STREAM, _WALK_STREAM, TraceParams, gamma_frame_sizes
@@ -94,8 +97,74 @@ def make_stats(mu_a_s=0.04, c_a=1.0, c_s=1.0, mu_s_s=0.03,
     return stats
 
 
-class ThreeCallDelayState(FlowDelayState):
-    """The arrival path as three calls: resolve the reference, apply the mark, record.
+@dataclass
+class TupleDelayState:
+    """The delay tracker as it was kept on Python objects: the reference.
+
+    :class:`vrsched.delay.FlowDelayState` keeps the same state on send
+    indices and ``array`` columns; this one keys the history by
+    ``(chunk, -ddl_ms)`` tuples, names frames by :class:`FrameId` and keeps
+    the last ``history_limit`` recorded delays in an ``OrderedDict``.
+    """
+
+    alpha: float = DEFAULT_ALPHA
+    prior_external_ms: float = 20.0
+    history_limit: int = 512
+    rtt: EwmaStat = field(init=False)
+    queue_delay: EwmaStat = field(init=False)
+    net_state_ms: Optional[float] = None
+    unmatched_marks: int = 0
+    matched_marks: int = 0
+
+    def __post_init__(self) -> None:
+        self.rtt = EwmaStat(alpha=self.alpha)
+        self.queue_delay = EwmaStat(alpha=self.alpha)
+        self._send_keys: list[tuple[int, float]] = []   # (chunk, -deadline_ms)
+        self._send_ids: list[FrameId] = []
+        self._recorded: OrderedDict[FrameId, float] = OrderedDict()
+
+    def on_arrival(self, frame_id: FrameId, chunk: int, ddl_ms: float,
+                   rtt_ms: float, ref_offset: int) -> None:
+        """Apply an arriving frame's RTT mark, then record the frame in send order.
+
+        A positive ``ref_offset`` counts back from the frame's place; a
+        reference before the kept history counts as an unmatched mark.
+        """
+        key = (chunk, -ddl_ms)
+        keys, ids = self._send_keys, self._send_ids
+        pos = bisect.bisect_left(keys, key)
+        if ref_offset > 0:
+            idx = pos - ref_offset
+            self.apply_mark(rtt_ms, ids[idx] if idx >= 0 else None)
+        keys.insert(pos, key)
+        ids.insert(pos, frame_id)
+        if len(ids) > self.history_limit:
+            del keys[0], ids[0]
+
+    def record_departure(self, frame_id: FrameId, q_ms: float) -> None:
+        self._recorded[frame_id] = q_ms
+        while len(self._recorded) > self.history_limit:
+            self._recorded.popitem(last=False)
+
+    def apply_mark(self, rtt_ms: float, ref: Optional[FrameId]) -> bool:
+        """Feed one RTT mark; returns True when it matched a recorded delay.
+
+        Marks whose reference has no recorded queuing delay are counted and
+        ignored, keeping the two EWMAs sourced from the same frames.
+        """
+        q_ms = self._recorded.get(ref) if ref is not None else None
+        if q_ms is None:
+            self.unmatched_marks += 1
+            return False
+        self.rtt.update(rtt_ms)
+        self.queue_delay.update(q_ms)
+        self.net_state_ms = self.rtt.mean - self.queue_delay.mean
+        self.matched_marks += 1
+        return True
+
+
+class ThreeCallDelayState(TupleDelayState):
+    """The reference's arrival path as three calls: resolve the reference, apply the mark, record.
 
     The reference for :meth:`FlowDelayState.on_arrival`, which does the
     same work with one bisect.
@@ -139,13 +208,13 @@ def spy_marks(tracker):
 
 
 def mark_ref(tracker, offset, chunk, ddl_ms):
-    """The frame a mark with ``offset`` on an arrival at (chunk, ddl_ms) refers to.
+    """The send index a mark with ``offset`` on an arrival at (chunk, ddl_ms) refers to.
 
     Asks a copy, so ``tracker`` is left as it was; None when no mark is applied.
     """
     probe = copy.deepcopy(tracker)
     seen = spy_marks(probe)
-    probe.on_arrival(FrameId(0xFFFF, 0xFF, 0xFF), chunk, ddl_ms, 1.0, offset)
+    probe.on_arrival(-1, chunk, ddl_ms, 1.0, offset)   # a probe no send index names
     return seen[0][0] if seen else None
 
 

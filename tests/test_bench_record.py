@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "bench_record.py"
 
@@ -47,6 +49,47 @@ def test_times_the_reproduction_on_one_and_two_workers(tmp_path):
         got = reproduce[workers]["this"]
         assert len(got["values"]) == 1
         assert got["q1"] == got["median"] == got["q3"] == got["values"][0] > 0
+
+
+def test_records_each_layers_share_and_calls_from_one_traced_run(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--number", "0", "--workload", "overload-deep",
+         "--runs", "1", "--seconds", "0", "--layers", "--seed", "3",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads((tmp_path / "BENCH_0.json").read_text())["layers"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    wanted = {m["name"] for m in spec["per_layer"] if m["name"].endswith((".share", ".calls"))}
+    assert layers["seed"] == 3
+    assert set(layers) == {"seed", "overload-deep"}
+    this = layers["overload-deep"]["this"]
+    assert set(this) == wanted | {"failed"}
+    assert this["failed"] == 0
+    shares = [v for name, v in this.items() if name.endswith(".share")]
+    assert all(0.0 <= v <= 1.0 for v in shares)
+    assert sum(shares) == pytest.approx(1.0)
+    assert this["sim.calls"] > 0 and this["delay.calls"] > 0
+
+
+def test_layer_runs_take_turns_going_first(monkeypatch):
+    module = _load_script()
+    calls = []
+
+    def fake(tree, workload, seed, seconds, trace=0):
+        calls.append((tree.name, workload, seed, seconds, trace))
+        return {"result": {"failed": 0, "metrics": {
+            "sim.share": {"value": 1.0}, "sim.calls": {"value": 7.0},
+            "sim.self_s": {"value": 0.5}}}}
+
+    monkeypatch.setattr(module, "run_once", fake)
+    got = module.record_layers({"a": Path("a"), "b": Path("b")}, ["w1", "w2"], 30.0, 5)
+    assert calls == [("a", "w1", 5, 30.0, 1), ("b", "w1", 5, 30.0, 1),
+                     ("b", "w2", 5, 30.0, 1), ("a", "w2", 5, 30.0, 1)]
+    assert got == {"seed": 5, **{w: {label: {"failed": 0, "sim.share": 1.0, "sim.calls": 7.0}
+                                     for label in ("a", "b")} for w in ("w1", "w2")}}
+    assert list(got["w2"]) == ["a", "b"]
 
 
 def test_rejects_a_tree_that_is_not_a_checkout(tmp_path):

@@ -1,9 +1,10 @@
+import copy
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import ThreeCallDelayState, make_frame, mark_ref, spy_marks
+from helpers import ThreeCallDelayState, TupleDelayState, make_frame, mark_ref, spy_marks
 from vrsched.delay import EwmaStat, FlowDelayState
 from vrsched.frame_queue import FrameQueue
 from vrsched.video import FrameId
@@ -48,10 +49,9 @@ class TestEwma:
 
 class TestQueuingDelayBound:
     def _tracker(self, rtt_ms, q_ms):
-        tracker = FlowDelayState()
-        ref = FrameId(1, 1, 1)
-        tracker.record_departure(ref, q_ms)
-        assert tracker.apply_mark(rtt_ms, ref)
+        tracker = FlowDelayState(n_sends=1)
+        tracker.record_departure(0, q_ms)
+        assert tracker.apply_mark(rtt_ms, 0)
         return tracker
 
     def test_spec_example(self):
@@ -119,62 +119,66 @@ class TestReviseBounds:
 
 class TestFlowDelayState:
     def test_mark_matching_updates_network_state(self):
-        tr = FlowDelayState()
+        tr = FlowDelayState(n_sends=3)
         marks = spy_marks(tr)
-        a, b = FrameId(1, 1, 1), FrameId(1, 1, 2)
-        tr.on_arrival(a, 1, 2000.0, 0.0, 0)
-        tr.on_arrival(b, 1, 1967.0, 0.0, 0)
-        tr.record_departure(a, 12.0)
-        # a mark arriving on frame (1,1,3), two sends after a
-        tr.on_arrival(FrameId(1, 1, 3), 1, 1933.0, 42.0, 2)
+        tr.on_arrival(0, 1, 2000.0, 0.0, 0)
+        tr.on_arrival(1, 1, 1967.0, 0.0, 0)
+        tr.record_departure(0, 12.0)
+        # a mark arriving on send 2, two sends after send 0
+        tr.on_arrival(2, 1, 1933.0, 42.0, 2)
         [(ref, matched)] = marks
-        assert ref == a
+        assert ref == 0
         assert matched
         assert tr.net_state_ms == pytest.approx(30.0)
         assert tr.matched_marks == 1
 
     def test_unmatched_marks_are_counted_not_applied(self):
-        tr = FlowDelayState()
-        tr.on_arrival(FrameId(1, 1, 1), 1, 2000.0, 0.0, 0)
-        assert not tr.apply_mark(42.0, FrameId(9, 9, 9))
+        tr = FlowDelayState(n_sends=2)
+        tr.on_arrival(0, 1, 2000.0, 0.0, 0)
+        assert not tr.apply_mark(42.0, 1)   # a send that has not departed
         assert not tr.apply_mark(42.0, None)
         assert tr.unmatched_marks == 2
         assert tr.net_state_ms is None
 
     def test_reordered_arrivals_resolve_in_send_order(self):
-        tr = FlowDelayState()
-        first, second, third = FrameId(1, 1, 1), FrameId(1, 1, 2), FrameId(1, 1, 3)
-        tr.on_arrival(first, 1, 2000.0, 0.0, 0)
-        tr.on_arrival(third, 1, 1933.0, 0.0, 0)   # overtook the second frame
-        tr.on_arrival(second, 1, 1967.0, 0.0, 0)  # straggler
-        assert mark_ref(tr, 3, 1, 1900.0) == first
-        assert mark_ref(tr, 2, 1, 1900.0) == second
-        assert mark_ref(tr, 1, 1, 1900.0) == third
+        tr = FlowDelayState(n_sends=3)
+        tr.on_arrival(0, 1, 2000.0, 0.0, 0)
+        tr.on_arrival(2, 1, 1933.0, 0.0, 0)   # overtook the second send
+        tr.on_arrival(1, 1, 1967.0, 0.0, 0)   # straggler
+        assert mark_ref(tr, 3, 1, 1900.0) == 0
+        assert mark_ref(tr, 2, 1, 1900.0) == 1
+        assert mark_ref(tr, 1, 1, 1900.0) == 2
 
     def test_resolve_out_of_range(self):
-        tr = FlowDelayState()
-        tr.on_arrival(FrameId(1, 1, 1), 1, 2000.0, 0.0, 0)
+        tr = FlowDelayState(n_sends=1)
+        tr.on_arrival(0, 1, 2000.0, 0.0, 0)
         assert mark_ref(tr, 0, 1, 1967.0) is None
         assert mark_ref(tr, 2, 1, 1967.0) is None
 
     def test_departure_record_bounded(self):
-        tr = FlowDelayState(history_limit=4)
-        for k in range(1, 10):
-            tr.record_departure(FrameId(1, 1, k), float(k))
-        assert len(tr._recorded) == 4
+        tr = FlowDelayState(history_limit=4, n_sends=9)
+        for k in range(9):
+            tr.record_departure(k, float(k))
+        # only the last 4 departures still match
+        matched = [copy.deepcopy(tr).apply_mark(1.0, k) for k in range(9)]
+        assert matched == [False] * 5 + [True] * 4
 
     def test_bound_for_uses_prior_until_initialized(self):
         tr = FlowDelayState(prior_external_ms=20.0)
         assert tr.bound_for(100.0) == pytest.approx(80.0)
 
 
+def ewma_bits(tr):
+    return tuple(x.hex() for x in (tr.rtt.mean, tr.rtt.variance, tr.queue_delay.mean,
+                                    tr.queue_delay.variance))
+
+
 def tracker_state(tr):
-    return (tr.matched_marks, tr.unmatched_marks, tr.rtt.mean, tr.rtt.variance,
-            tr.queue_delay.mean, tr.queue_delay.variance, tr.net_state_ms, tr._send_ids)
+    return (tr.matched_marks, tr.unmatched_marks, ewma_bits(tr), tr.net_state_ms)
 
 
 class TestOnArrivalMatchesThreeCalls:
-    """``on_arrival`` against the resolve/apply/record sequence it replaced."""
+    """``on_arrival`` against the reference's resolve/apply/record sequence."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -190,21 +194,66 @@ class TestOnArrivalMatchesThreeCalls:
         # send order i: chunk ascending, wire deadline falling within a chunk
         sent = [(FrameId(i // per_chunk + 1, 1, i % per_chunk + 1), i // per_chunk + 1,
                  float(2000 - (i % per_chunk) * 33)) for i in range(n)]
+        send_idx = {frame_id: i for i, (frame_id, _, _) in enumerate(sent)}
         # path jitter reorders arrivals by up to ``window`` send positions
         order = sorted(range(n), key=lambda i: i + rng.uniform(0, window))
-        new, old = FlowDelayState(), ThreeCallDelayState()
+        new, old = FlowDelayState(n_sends=n), ThreeCallDelayState()
         waiting = []
         for step, i in enumerate(order):
             frame_id, chunk, ddl_ms = sent[i]
             rtt_ms = float(rng.randint(0, 65535))
             ref_offset = rng.choice((0, rng.randint(1, 255), rng.randint(1, window + 3)))
-            new.on_arrival(frame_id, chunk, ddl_ms, rtt_ms, ref_offset)
+            new.on_arrival(i, chunk, ddl_ms, rtt_ms, ref_offset)
             old.on_arrival(frame_id, chunk, ddl_ms, rtt_ms, ref_offset)
-            waiting.append(frame_id)
+            waiting.append(i)
             if rng.random() < depart_p:
                 gone = waiting.pop(rng.randrange(len(waiting)))
                 q_ms = rng.uniform(0.0, 500.0)
                 new.record_departure(gone, q_ms)
-                old.record_departure(gone, q_ms)
+                old.record_departure(sent[gone][0], q_ms)
             assert tracker_state(new) == tracker_state(old)
-            assert len(new._send_ids) == min(step + 1, new.history_limit)
+            assert list(new._send_idx) == [send_idx[f] for f in old._send_ids]
+            assert len(new._send_idx) == min(step + 1, new.history_limit)
+
+
+# wire deadlines that tie and saturate, and chunks at both ends of the wire's field
+WIRE_DDLS = st.sampled_from([0, 0, 1, 500, 1967, 2000, 65534, 65535, 65535])
+CHUNKS = st.sampled_from([0, 1, 1, 2, 3, 65534, 65535])
+
+
+class TestMatchesTheTupleTracker:
+    """The array tracker against the tuple/``FrameId``/``OrderedDict`` one, step by step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.one_of(st.integers(1, 40), st.integers(513, 800)),
+        history_limit=st.sampled_from([1, 2, 3, 7, 512]),
+        window=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_reference_counts_and_ewma_bits_at_every_step(
+            self, data, n, history_limit, window, seed):
+        rng = random.Random(seed)
+        sends = data.draw(st.lists(st.tuples(CHUNKS, WIRE_DDLS), min_size=n, max_size=n))
+        ids = [FrameId(i // 255 + 1, i % 255 + 1, 1) for i in range(n)]
+        # path jitter reorders arrivals by up to ``window`` send positions
+        order = sorted(range(n), key=lambda i: i + rng.uniform(0, window))
+        new = FlowDelayState(history_limit=history_limit, n_sends=n)
+        ref = TupleDelayState(history_limit=history_limit)
+        new_marks, ref_marks = spy_marks(new), spy_marks(ref)
+        in_queue = []
+        for i in order:
+            chunk, ddl = sends[i]
+            rtt_ms = float(rng.choice((0, 65535, rng.randint(0, 65535))))
+            ref_offset = rng.choice((0, 1, 255, rng.randint(1, window + 3)))
+            new.on_arrival(i, chunk, float(ddl), rtt_ms, ref_offset)
+            ref.on_arrival(ids[i], chunk, float(ddl), rtt_ms, ref_offset)
+            in_queue.append(i)
+            while in_queue and rng.random() < 0.6:
+                gone = in_queue.pop(rng.randrange(len(in_queue)))
+                q_ms = rng.choice((0.0, rng.uniform(0.0, 500.0)))
+                new.record_departure(gone, q_ms)
+                ref.record_departure(ids[gone], q_ms)
+            assert [(i if i is None else ids[i], m) for i, m in new_marks] == ref_marks
+            assert tracker_state(new) == tracker_state(ref)

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,6 +138,43 @@ class TestFrameMeta:
 
     def test_id_ordering_is_lexicographic(self):
         assert FrameId(1, 2, 3) < FrameId(1, 2, 4) < FrameId(1, 3, 1) < FrameId(2, 1, 1)
+
+    def test_fields_cannot_be_assigned(self):
+        frame = FrameMeta(FrameId(1, 1, 1), 10, 0.5, 100.0, 0.0)
+        for name, value in (("size", 0), ("gamma", 2.0), ("id", FrameId(2, 2, 2))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frame, name, value)
+        with pytest.raises((AttributeError, TypeError)):   # no __dict__ to take a new one
+            frame.extra = 1
+        assert frame == FrameMeta(FrameId(1, 1, 1), 10, 0.5, 100.0, 0.0)
+
+    def test_equal_frames_hash_equal_and_differing_ones_differ(self):
+        args = (FrameId(3, 2, 1), 1234, 0.25, 1967.0, 33.3)
+        a, b = FrameMeta(*args), FrameMeta(*args)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert hash(a) == hash(args)
+        assert a != FrameMeta(FrameId(3, 2, 1), 1234, 0.25, 1967.0, 33.4)
+        assert a != args   # a frame is not a tuple
+        assert len({a, b, FrameMeta(*args[:-1], 0.0)}) == 2
+        assert repr(a) == ("FrameMeta(id=FrameId(c=3, m=2, k=1), size=1234, gamma=0.25, "
+                           "deadline_ms=1967.0, send_time_ms=33.3)")
+
+    def test_pickle_round_trip(self):
+        frame = FrameMeta(FrameId(7, 5, 3), 999, 0.75, 2000.0, 12.5)
+        back = pickle.loads(pickle.dumps(frame))
+        assert back == frame and back is not frame
+        assert [getattr(back, f.name) for f in dataclasses.fields(FrameMeta)] == [
+            FrameId(7, 5, 3), 999, 0.75, 2000.0, 12.5]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.size = 1
+
+    def test_keyword_construction_checks_too(self):
+        frame = FrameMeta(id=FrameId(1, 1, 1), size=1, gamma=0.0, deadline_ms=-5.0,
+                          send_time_ms=0.0)
+        assert frame.deadline_ms == -5.0
+        with pytest.raises(ValueError, match="importance"):
+            FrameMeta(id=FrameId(1, 1, 1), size=1, gamma=-0.5, deadline_ms=0.0,
+                      send_time_ms=0.0)
 
 
 class TestFrameId:
