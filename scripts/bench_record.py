@@ -10,14 +10,14 @@ checkout runs first, and the file counts the pairs the second checkout
 wins on each metric, in the direction BENCHMARK.json names. With
 ``--reproduce`` it also times ``scripts/reproduce_results.py`` on 1 and 2
 workers in each checkout, in the same alternating pairs, on seeds 1-5 (seed
-1 with ``--seconds 0``). With ``--layers`` it also runs ``perfbench/run.py
---trace 1`` once per checkout and workload, on the first seed, and records
-each layer's share of the traced self time and its call count. Example, the
-parent commit against the one checked out:
+1 with ``--seconds 0``). It also runs ``perfbench/run.py --trace 1`` once
+per checkout and workload, on the first seed, and records each layer's
+share of the traced self time and its call count. Example, the parent
+commit against the one checked out:
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python scripts/bench_record.py --number 13 --tree parent=../parent \\
-        --tree change=. --runs 10 --reproduce --layers
+        --tree change=. --runs 10 --reproduce
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def record_layers(trees: dict[str, Path], workloads: list[str], seconds: float,
 
 
 def record(spec: dict, trees: dict[str, Path], workloads: list[str], runs: int,
-           seconds: float, seed: int, reproduce: bool = False, layers: bool = False) -> dict:
+           seconds: float, seed: int, reproduce: bool = False) -> dict:
     """The BENCH file's content; ``spec`` is BENCHMARK.json."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     labels = list(trees)
@@ -180,8 +180,7 @@ def record(spec: dict, trees: dict[str, Path], workloads: list[str], runs: int,
         out["workloads"][workload] = entry
     if reproduce:
         out["reproduce"] = record_reproduce(trees, runs, "1" if seconds == 0 else "1,2,3,4,5")
-    if layers:
-        out["layers"] = record_layers(trees, workloads, seconds, seed)
+    out["layers"] = record_layers(trees, workloads, seconds, seed)
     return out
 
 
@@ -203,9 +202,6 @@ def main(argv=None) -> int:
     parser.add_argument("--reproduce", action="store_true",
                         help="also time scripts/reproduce_results.py on 1 and 2 workers, "
                              "--runs times per checkout, on seeds 1-5 (1 with --seconds 0)")
-    parser.add_argument("--layers", action="store_true",
-                        help="also record each layer's share and calls from one traced "
-                             "run per checkout and workload, on --seed")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     trees = {}
@@ -222,7 +218,7 @@ def main(argv=None) -> int:
         parser.error(f"--seconds: BENCHMARK.json sets the run length, {spec['run_seconds']}; "
                      "0 makes a smoke run")
     out = record(spec, trees, args.workload or names, args.runs, args.seconds, args.seed,
-                 args.reproduce, args.layers)
+                 args.reproduce)
     path = args.out_dir / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")

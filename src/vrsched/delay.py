@@ -51,10 +51,12 @@ class FlowDelayState:
     Keeps the paired RTT / queuing-delay EWMAs, the send-order history used
     to resolve one-byte backward RTT references, and the realized queuing
     delays of the last ``history_limit`` departures. Frames are named by
-    their send index, their position in the flow's trace; ``n_sends``, the
-    trace's length, sizes the per-send columns. :meth:`on_arrival` finds an
-    arriving frame's place in the history once, resolves its mark from
-    there and inserts the frame there.
+    their send index, their position in the flow's trace. ``n_sends``, the
+    trace's length, sizes the per-send columns and has no default, so a
+    tracker is always built for its trace; a departure or mark reference
+    naming a send index at or past ``n_sends`` raises IndexError.
+    :meth:`on_arrival` finds an arriving frame's place in the history once,
+    resolves its mark from there and inserts the frame there.
 
     References count frames backward in send order. Arrivals can be
     reordered by path jitter, so the history is kept sorted by the send key
@@ -73,7 +75,7 @@ class FlowDelayState:
     alpha: float = DEFAULT_ALPHA
     prior_external_ms: float = 20.0
     history_limit: int = 512
-    n_sends: int = 0
+    n_sends: int = field(kw_only=True)
     rtt: EwmaStat = field(init=False)
     queue_delay: EwmaStat = field(init=False)
     net_state_ms: Optional[float] = None

@@ -54,7 +54,7 @@ def test_times_the_reproduction_on_one_and_two_workers(tmp_path):
 def test_records_each_layers_share_and_calls_from_one_traced_run(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--number", "0", "--workload", "overload-deep",
-         "--runs", "1", "--seconds", "0", "--layers", "--seed", "3",
+         "--runs", "1", "--seconds", "0", "--seed", "3",
          "--out-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=600,
     )

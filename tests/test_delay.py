@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import ThreeCallDelayState, TupleDelayState, make_frame, mark_ref, spy_marks
+from helpers import ThreeCallDelayState, make_frame, mark_ref, spy_marks
 from vrsched.delay import EwmaStat, FlowDelayState
 from vrsched.frame_queue import FrameQueue
 from vrsched.video import FrameId
@@ -67,7 +67,7 @@ class TestQueuingDelayBound:
         assert tracker.bound_for(777.0) == pytest.approx(777.0)
 
     def test_uninitialized_falls_back_to_prior(self):
-        tracker = FlowDelayState(prior_external_ms=20.0)
+        tracker = FlowDelayState(prior_external_ms=20.0, n_sends=0)
         assert tracker.bound_for(100.0) == pytest.approx(80.0)
 
 
@@ -164,8 +164,19 @@ class TestFlowDelayState:
         assert matched == [False] * 5 + [True] * 4
 
     def test_bound_for_uses_prior_until_initialized(self):
-        tr = FlowDelayState(prior_external_ms=20.0)
+        tr = FlowDelayState(prior_external_ms=20.0, n_sends=0)
         assert tr.bound_for(100.0) == pytest.approx(80.0)
+
+    def test_needs_the_trace_length_by_keyword(self):
+        with pytest.raises(TypeError):
+            FlowDelayState()
+        with pytest.raises(TypeError):
+            FlowDelayState(0.125, 20.0, 512, 3)
+        tr = FlowDelayState(n_sends=2)
+        with pytest.raises(IndexError):
+            tr.record_departure(2, 1.0)
+        with pytest.raises(IndexError):
+            tr.apply_mark(1.0, 2)
 
 
 def ewma_bits(tr):
@@ -177,83 +188,59 @@ def tracker_state(tr):
     return (tr.matched_marks, tr.unmatched_marks, ewma_bits(tr), tr.net_state_ms)
 
 
-class TestOnArrivalMatchesThreeCalls:
-    """``on_arrival`` against the reference's resolve/apply/record sequence."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.one_of(st.integers(1, 64), st.integers(513, 700)),
-        seed=st.integers(0, 2**32 - 1),
-        window=st.integers(0, 12),
-        depart_p=st.floats(0.0, 1.0),
-        per_chunk=st.integers(1, 60),
-    )
-    @example(n=600, seed=1, window=4, depart_p=0.9, per_chunk=30)
-    def test_same_state_after_every_step(self, n, seed, window, depart_p, per_chunk):
-        rng = random.Random(seed)
-        # send order i: chunk ascending, wire deadline falling within a chunk
-        sent = [(FrameId(i // per_chunk + 1, 1, i % per_chunk + 1), i // per_chunk + 1,
-                 float(2000 - (i % per_chunk) * 33)) for i in range(n)]
-        send_idx = {frame_id: i for i, (frame_id, _, _) in enumerate(sent)}
-        # path jitter reorders arrivals by up to ``window`` send positions
-        order = sorted(range(n), key=lambda i: i + rng.uniform(0, window))
-        new, old = FlowDelayState(n_sends=n), ThreeCallDelayState()
-        waiting = []
-        for step, i in enumerate(order):
-            frame_id, chunk, ddl_ms = sent[i]
-            rtt_ms = float(rng.randint(0, 65535))
-            ref_offset = rng.choice((0, rng.randint(1, 255), rng.randint(1, window + 3)))
-            new.on_arrival(i, chunk, ddl_ms, rtt_ms, ref_offset)
-            old.on_arrival(frame_id, chunk, ddl_ms, rtt_ms, ref_offset)
-            waiting.append(i)
-            if rng.random() < depart_p:
-                gone = waiting.pop(rng.randrange(len(waiting)))
-                q_ms = rng.uniform(0.0, 500.0)
-                new.record_departure(gone, q_ms)
-                old.record_departure(sent[gone][0], q_ms)
-            assert tracker_state(new) == tracker_state(old)
-            assert list(new._send_idx) == [send_idx[f] for f in old._send_ids]
-            assert len(new._send_idx) == min(step + 1, new.history_limit)
-
-
 # wire deadlines that tie and saturate, and chunks at both ends of the wire's field
 WIRE_DDLS = st.sampled_from([0, 0, 1, 500, 1967, 2000, 65534, 65535, 65535])
 CHUNKS = st.sampled_from([0, 1, 1, 2, 3, 65534, 65535])
 
 
-class TestMatchesTheTupleTracker:
-    """The array tracker against the tuple/``FrameId``/``OrderedDict`` one, step by step."""
+class TestOnArrivalMatchesThreeCalls:
+    """``on_arrival`` against the reference's resolve/apply/record sequence.
+
+    The reference keeps the tracker's old state: ``(chunk, -ddl_ms)``
+    tuples, ``FrameId`` names and an ``OrderedDict`` of recorded delays.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
-        n=st.one_of(st.integers(1, 40), st.integers(513, 800)),
+        n=st.one_of(st.integers(1, 64), st.integers(513, 800)),
+        per_chunk=st.one_of(st.just(0), st.integers(1, 60)),   # 0: tied and saturated keys
         history_limit=st.sampled_from([1, 2, 3, 7, 512]),
         window=st.integers(0, 40),
+        depart_p=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_same_reference_counts_and_ewma_bits_at_every_step(
-            self, data, n, history_limit, window, seed):
+    @example(data=None, n=600, per_chunk=30, history_limit=512, window=4, depart_p=0.9,
+             seed=1)
+    def test_same_state_after_every_step(self, data, n, per_chunk, history_limit, window,
+                                         depart_p, seed):
         rng = random.Random(seed)
-        sends = data.draw(st.lists(st.tuples(CHUNKS, WIRE_DDLS), min_size=n, max_size=n))
+        if per_chunk:
+            # send order i: chunk ascending, wire deadline falling within a chunk
+            sends = [(i // per_chunk + 1, 2000 - (i % per_chunk) * 33) for i in range(n)]
+        else:
+            sends = data.draw(st.lists(st.tuples(CHUNKS, WIRE_DDLS), min_size=n, max_size=n))
         ids = [FrameId(i // 255 + 1, i % 255 + 1, 1) for i in range(n)]
+        send_idx = {frame_id: i for i, frame_id in enumerate(ids)}
         # path jitter reorders arrivals by up to ``window`` send positions
         order = sorted(range(n), key=lambda i: i + rng.uniform(0, window))
         new = FlowDelayState(history_limit=history_limit, n_sends=n)
-        ref = TupleDelayState(history_limit=history_limit)
-        new_marks, ref_marks = spy_marks(new), spy_marks(ref)
-        in_queue = []
-        for i in order:
+        old = ThreeCallDelayState(history_limit=history_limit)
+        new_marks, old_marks = spy_marks(new), spy_marks(old)
+        waiting = []
+        for step, i in enumerate(order):
             chunk, ddl = sends[i]
             rtt_ms = float(rng.choice((0, 65535, rng.randint(0, 65535))))
-            ref_offset = rng.choice((0, 1, 255, rng.randint(1, window + 3)))
+            ref_offset = rng.choice((0, 1, 255, rng.randint(1, 255), rng.randint(1, window + 3)))
             new.on_arrival(i, chunk, float(ddl), rtt_ms, ref_offset)
-            ref.on_arrival(ids[i], chunk, float(ddl), rtt_ms, ref_offset)
-            in_queue.append(i)
-            while in_queue and rng.random() < 0.6:
-                gone = in_queue.pop(rng.randrange(len(in_queue)))
+            old.on_arrival(ids[i], chunk, float(ddl), rtt_ms, ref_offset)
+            waiting.append(i)
+            while waiting and rng.random() < depart_p:
+                gone = waiting.pop(rng.randrange(len(waiting)))
                 q_ms = rng.choice((0.0, rng.uniform(0.0, 500.0)))
                 new.record_departure(gone, q_ms)
-                ref.record_departure(ids[gone], q_ms)
-            assert [(i if i is None else ids[i], m) for i, m in new_marks] == ref_marks
-            assert tracker_state(new) == tracker_state(ref)
+                old.record_departure(ids[gone], q_ms)
+            assert [(i if i is None else ids[i], m) for i, m in new_marks] == old_marks
+            assert tracker_state(new) == tracker_state(old)
+            assert list(new._send_idx) == [send_idx[f] for f in old._send_ids]
+            assert len(new._send_idx) == min(step + 1, history_limit)
