@@ -5,6 +5,10 @@ at the moment a frame would actually go out; the queue decides whether a
 head has expired. The link clock (owned by the simulator) decides
 departure timing; a forwarder only decides order and byte accounting.
 
+``next_action`` returns a send as a plain ``(flow, frame, bytes_sent,
+completed)`` tuple, one per link slice, a :class:`DropAction` for an
+expired head, or None when nothing can go out.
+
 DWRR turns allocation decisions into per-flow byte credit at every tick,
 spends it on whole frames in queue order and carries a partially
 transmitted frame across rounds. EDF needs no credit: it sends the whole
@@ -17,22 +21,12 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .frame_queue import FrameQueue, QueuedFrame, tolerable_time
 
-
-class SendAction(NamedTuple):
-    """One committed transmission slice; a NamedTuple, since one is built per slice."""
-
-    flow: int
-    frame: QueuedFrame
-    bytes_sent: int
-    completed: bool
+Send = tuple[int, QueuedFrame, int, bool]   # flow, frame, bytes_sent, completed
 
 
 class DropAction(NamedTuple):
     flow: int
     frame: QueuedFrame
-
-
-Action = Union[SendAction, DropAction]
 
 
 class DwrrForwarder:
@@ -56,28 +50,33 @@ class DwrrForwarder:
 
     def next_action(
         self, queues: Mapping[int, FrameQueue], now_us: int
-    ) -> Optional[Action]:
+    ) -> Union[Send, DropAction, None]:
         """One scheduling step: a drop, a send slice, or None when stuck.
 
         The cursor stays on the flow it last served, so a flow keeps the
         link until its credit or queue runs out, then the scan moves on.
         A send covers the head's remaining bytes when credit allows;
         otherwise it spends what is left and pins the head in service.
+        A parked flow, one with a pinned head and no whole byte of credit,
+        is passed over at once: its head can neither expire nor go out.
         """
         n = len(self._order)
         for i in range(n):
             flow = self._order[(self._cursor + i) % n]
             queue = queues[flow]
-            if not queue.frames:
+            frames = queue.frames
+            if not frames:
+                continue
+            avail = int(self.deficit[flow])
+            if avail <= 0 and frames[0].in_service:
                 continue
             dead = queue.pop_expired_head(now_us)
             if dead is not None:
                 self._cursor = (self._cursor + i) % n
                 return DropAction(flow, dead)
-            head = queue.frames[0]
-            avail = int(self.deficit[flow])
             if avail <= 0:
                 continue
+            head = frames[0]
             sent = min(head.remaining, avail)
             head.remaining -= sent
             self.deficit[flow] -= sent
@@ -89,7 +88,7 @@ class DwrrForwarder:
                 head.in_service = True
                 completed = False
             self._cursor = (self._cursor + i) % n
-            return SendAction(flow, head, sent, completed)
+            return flow, head, sent, completed
         return None
 
 
@@ -101,7 +100,7 @@ class EdfForwarder:
 
     def next_action(
         self, queues: Mapping[int, FrameQueue], now_us: int
-    ) -> Optional[Action]:
+    ) -> Union[Send, DropAction, None]:
         """Drop an expired head, else send the head with the least slack.
 
         Expired heads go first, one action each, in flow order. Ties on
@@ -124,4 +123,4 @@ class EdfForwarder:
             return None
         frame = queues[best].pop_head()
         sent, frame.remaining = frame.remaining, 0
-        return SendAction(best, frame, sent, True)
+        return best, frame, sent, True

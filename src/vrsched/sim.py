@@ -336,13 +336,6 @@ class Simulation:
         if total_bps > self.link_bps * (1.0 + 1e-9):
             self.budget_violations += 1
 
-    def _commit_to_link(self, now_us: int, flow: int, frame: QueuedFrame,
-                        nbytes: int, completed: bool) -> None:
-        # a slice is at least one byte, so it ends after the instant it starts
-        self._link_end = now_us + int(math.ceil(nbytes * 8 * US_PER_S / self.link_bps))
-        self._link_flow = flow
-        self._link_frame = frame if completed else None
-
     def _drop(self, now_us: int, flow: int, frame_meta: FrameMeta) -> None:
         rt = self.flows[flow]
         rt.dropped += 1
@@ -378,9 +371,8 @@ class Simulation:
         frame = QueuedFrame(meta, now_us, ddl_ms, tracker.bound_for(ddl_ms), meta.size, idx)
         if not rt.queue.push(frame):
             self._drop(now_us, flow, meta)
-            return
-        # keep the link busy when credit is already available
-        self._kick(now_us)
+        elif self._link_end == NEVER:   # serve at once when credit is already available
+            self._kick(now_us)
 
     def _on_link(self, now_us: int) -> None:
         """A slice finished serializing: depart the frame it completed, if any, and serve on."""
@@ -453,7 +445,8 @@ class Simulation:
     def _on_sti(self, now_us: int) -> int:
         """The short tick; returns when the next one is due."""
         self._tick(self, now_us)
-        self._kick(now_us)
+        if self._link_end == NEVER:
+            self._kick(now_us)
         return now_us + self.tick_us if self._work_remaining(now_us) else NEVER
 
     def _rr_tick(self, now_us: int) -> None:
@@ -506,21 +499,26 @@ class Simulation:
         self._sweep_queues(now_us)
 
     def _kick(self, now_us: int) -> None:
-        """Serve the queues while the link is free; one slice per departure.
+        """Serve the free link: drop expired heads until one slice goes out or none can.
 
         Expired heads are dropped at the instant they would otherwise be
         served, so the bound check reflects the true service time rather
-        than the tick that granted the credit.
+        than the tick that granted the credit. A slice is at least one
+        byte, so it ends after the instant it starts.
         """
         queues = self._queues
-        while self._link_end == NEVER:
+        while True:
             act = self.forwarder.next_action(queues, now_us)
             if act is None:
                 return
-            if isinstance(act, DropAction):
+            if type(act) is DropAction:
                 self._drop(now_us, act.flow, act.frame.meta)
                 continue
-            self._commit_to_link(now_us, *act)   # flow, frame, bytes_sent, completed
+            flow, frame, nbytes, completed = act
+            self._link_end = now_us + int(math.ceil(nbytes * 8 * US_PER_S / self.link_bps))
+            self._link_flow = flow
+            self._link_frame = frame if completed else None
+            return
 
     # -- main loop ---------------------------------------------------------
 

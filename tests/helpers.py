@@ -14,7 +14,7 @@ import numpy as np
 
 from vrsched.allocation import ArrivalServiceStats
 from vrsched.delay import DEFAULT_ALPHA, EwmaStat
-from vrsched.forwarder import SendAction
+from vrsched.forwarder import DropAction
 from vrsched.frame_queue import QueuedFrame, tolerable_time
 from vrsched.traffic import _SIZE_STREAM, _WALK_STREAM, TraceParams, gamma_frame_sizes
 from vrsched.video import (
@@ -78,7 +78,7 @@ def drain(forwarder, queues, now_us):
     """Every action a forwarder takes at one instant, as (sends, drops)."""
     sends, drops = [], []
     while (act := forwarder.next_action(queues, now_us)) is not None:
-        (sends if isinstance(act, SendAction) else drops).append(act)
+        (drops if type(act) is DropAction else sends).append(act)
     return sends, drops
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import drain, make_frame
 from vrsched.baselines import parse_policy, rr_allocate
-from vrsched.forwarder import DropAction, EdfForwarder, SendAction
+from vrsched.forwarder import DropAction, EdfForwarder
 from vrsched.frame_queue import FrameQueue
 
 MS = 1000  # microseconds per millisecond
@@ -19,8 +19,9 @@ def edf_pick(queues, now_us=0):
     act = EdfForwarder(list(queues)).next_action(queues, now_us)
     if act is None:
         return None
-    assert isinstance(act, SendAction) and act.completed
-    return act.flow
+    flow, frame, sent, completed = act
+    assert type(act) is tuple and completed and sent == frame.meta.size
+    return flow
 
 
 class TestRrAllocate:
@@ -63,7 +64,7 @@ class TestEdfNext:
         q = queue_with_head(100.0)
         frame = q.frames[0]
         act = EdfForwarder([0]).next_action({0: q}, 0)
-        assert act == SendAction(0, frame, frame.meta.size, True)
+        assert act == (0, frame, frame.meta.size, True)
         assert frame.remaining == 0 and len(q) == 0
 
     def test_drops_every_expired_head_in_flow_order_before_one_send(self):
@@ -84,14 +85,13 @@ class TestEdfNext:
             DropAction(1, frames[1][1]),
             DropAction(2, frames[2][0]),
         ]
-        assert isinstance(acts[4], SendAction)
-        assert acts[4].flow == 2 and acts[4].frame is frames[2][1]
+        assert acts[4] == (2, frames[2][1], frames[2][1].meta.size, True)
 
     def test_queue_without_expiry_sends_an_expired_head(self):
         queues = {0: queue_with_head(-20.0, expire=False), 1: queue_with_head(10.0)}
         sends, drops = drain(EdfForwarder([0, 1]), queues, 0)
         assert drops == []
-        assert [s.flow for s in sends] == [0, 1]
+        assert [flow for flow, *_ in sends] == [0, 1]
 
 
 class TestPolicyParsing:

@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import drain, make_frame
-from vrsched.forwarder import DropAction, DwrrForwarder, SendAction
+from vrsched.forwarder import DropAction, DwrrForwarder
 from vrsched.frame_queue import FrameQueue
 
 MS = 1000  # microseconds per millisecond
@@ -12,6 +12,15 @@ def queue_of(*frames, ordered=True, expire=True):
     for f in frames:
         assert q.push(f)
     return q
+
+
+def a_send():
+    """The plain tuple a forwarder returns for a send."""
+    fwd = DwrrForwarder([0])
+    fwd.deficit[0] = 1000.0
+    send = fwd.next_action({0: queue_of(make_frame(size=300, bound_ms=1000.0))}, 0)
+    assert type(send) is tuple
+    return send
 
 
 class TestReplenish:
@@ -39,7 +48,7 @@ class TestForwardRound:
         fwd = DwrrForwarder([0])
         fwd.deficit[0] = 10000.0
         sends, drops = drain(fwd, {0: queue_of(frame)}, 0)
-        assert sends == [SendAction(0, frame, 4000, True)]
+        assert sends == [(0, frame, 4000, True)]
         assert drops == []
         assert fwd.deficit[0] == pytest.approx(6000.0)
 
@@ -63,7 +72,7 @@ class TestForwardRound:
         fwd = DwrrForwarder([0])
         fwd.deficit[0] = 5000.0
         sends, _ = drain(fwd, {0: q}, 0)
-        assert sends == [SendAction(0, frame, 5000, False)]
+        assert sends == [(0, frame, 5000, False)]
         assert frame.in_service
         assert frame.remaining == 3000
         assert q.frames[0] is frame
@@ -76,7 +85,7 @@ class TestForwardRound:
         drain(fwd, {0: q}, 0)
         fwd.replenish(0, 8e5, 0.05)  # 5000 B quantum
         sends, _ = drain(fwd, {0: q}, 0)
-        assert sends == [SendAction(0, frame, 3000, True)]
+        assert sends == [(0, frame, 3000, True)]
         assert not frame.in_service
         assert len(q) == 0
 
@@ -86,7 +95,7 @@ class TestForwardRound:
         fwd = DwrrForwarder([0, 1])
         fwd.deficit[0] = fwd.deficit[1] = 1000.0
         sends, _ = drain(fwd, {0: queue_of(f0), 1: queue_of(f1)}, 0)
-        assert [s.flow for s in sends] == [0, 1]
+        assert [flow for flow, *_ in sends] == [0, 1]
 
     def test_work_conservation(self):
         # a flow with at least one byte of credit and a live frame always sends
@@ -94,7 +103,7 @@ class TestForwardRound:
         fwd = DwrrForwarder([0])
         fwd.deficit[0] = 1.0
         sends, _ = drain(fwd, {0: queue_of(frame)}, 0)
-        assert sends and sends[0].bytes_sent >= 1
+        assert sends and sends[0][2] >= 1   # bytes_sent
 
     def test_purge_disabled_serves_expired_frames(self):
         # a queue that does not expire frames hands its dead head out as a send
@@ -103,7 +112,7 @@ class TestForwardRound:
         fwd.deficit[0] = 1000.0
         sends, drops = drain(fwd, {0: queue_of(dead, expire=False)}, 0)
         assert drops == []
-        assert sends == [SendAction(0, dead, 400, True)]
+        assert sends == [(0, dead, 400, True)]
 
     def test_pinned_expired_head_keeps_sending(self):
         frame = make_frame(size=8000, bound_ms=1.0)
@@ -114,7 +123,7 @@ class TestForwardRound:
         fwd.replenish(0, 8e5, 0.05)
         sends, drops = drain(fwd, {0: q}, 2 * MS)
         assert drops == []
-        assert sends == [SendAction(0, frame, 3000, True)]
+        assert sends == [(0, frame, 3000, True)]
 
 
 class TestNextAction:
@@ -124,10 +133,8 @@ class TestNextAction:
         q = queue_of(a, b)
         fwd = DwrrForwarder([0])
         fwd.deficit[0] = 1000.0
-        first = fwd.next_action({0: q}, 0)
-        assert isinstance(first, SendAction) and first.frame is a
-        second = fwd.next_action({0: q}, 0)
-        assert isinstance(second, SendAction) and second.frame is b
+        assert fwd.next_action({0: q}, 0) == (0, a, 300, True)
+        assert fwd.next_action({0: q}, 0) == (0, b, 300, True)
         assert fwd.next_action({0: q}, 0) is None
 
     def test_skips_flows_without_credit(self):
@@ -136,11 +143,11 @@ class TestNextAction:
         fwd = DwrrForwarder([0, 1])
         fwd.deficit[1] = 1000.0
         act = fwd.next_action({0: queue_of(starved), 1: queue_of(ready)}, 0)
-        assert isinstance(act, SendAction) and act.flow == 1
+        assert act == (1, ready, 300, True)
 
     @pytest.mark.parametrize("action,field", [
-        (SendAction(0, None, 10, True), "bytes_sent"),
-        (SendAction(0, None, 10, True), "completed"),
+        (a_send(), "bytes_sent"),
+        (a_send(), "completed"),
         (DropAction(0, None), "flow"),
         (DropAction(0, None), "frame"),
     ])
