@@ -8,14 +8,14 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Optional
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from vrsched.allocation import ArrivalServiceStats
 from vrsched.delay import DEFAULT_ALPHA, EwmaStat
 from vrsched.forwarder import DropAction
-from vrsched.frame_queue import QueuedFrame, tolerable_time
+from vrsched.frame_queue import FrameQueue, QueuedFrame, tolerable_time
 from vrsched.traffic import _SIZE_STREAM, _WALK_STREAM, TraceParams, gamma_frame_sizes
 from vrsched.video import (
     US_PER_MS,
@@ -80,6 +80,96 @@ def drain(forwarder, queues, now_us):
     while (act := forwarder.next_action(queues, now_us)) is not None:
         (drops if type(act) is DropAction else sends).append(act)
     return sends, drops
+
+
+class SendAction(NamedTuple):
+    """A send as the reference forwarders return it."""
+
+    flow: int
+    frame: QueuedFrame
+    bytes_sent: int
+    completed: bool
+
+
+class NamedTupleDwrrForwarder:
+    """The DWRR forwarder as it was with ``SendAction`` records: the reference.
+
+    :class:`vrsched.forwarder.DwrrForwarder` returns a plain tuple for a
+    send and passes over a flow with a pinned head and no whole byte of
+    credit without asking its queue for an expired head; this one asks
+    every nonempty queue.
+    """
+
+    def __init__(self, flows: Sequence[int]):
+        self._order = list(flows)
+        self._cursor = 0
+        self.deficit: dict[int, float] = {f: 0.0 for f in flows}
+
+    def replenish(self, flow: int, rate_bps: float, interval_s: float) -> None:
+        quantum = rate_bps * interval_s / 8.0
+        if quantum <= 0.0:
+            return
+        self.deficit[flow] = min(self.deficit[flow], quantum) + quantum
+
+    def next_action(
+        self, queues: Mapping[int, FrameQueue], now_us: int
+    ) -> Optional[Union[SendAction, DropAction]]:
+        n = len(self._order)
+        for i in range(n):
+            flow = self._order[(self._cursor + i) % n]
+            queue = queues[flow]
+            if not queue.frames:
+                continue
+            dead = queue.pop_expired_head(now_us)
+            if dead is not None:
+                self._cursor = (self._cursor + i) % n
+                return DropAction(flow, dead)
+            head = queue.frames[0]
+            avail = int(self.deficit[flow])
+            if avail <= 0:
+                continue
+            sent = min(head.remaining, avail)
+            head.remaining -= sent
+            self.deficit[flow] -= sent
+            if head.remaining == 0:
+                queue.pop_head()
+                head.in_service = False
+                completed = True
+            else:
+                head.in_service = True
+                completed = False
+            self._cursor = (self._cursor + i) % n
+            return SendAction(flow, head, sent, completed)
+        return None
+
+
+class NamedTupleEdfForwarder:
+    """The EDF forwarder as it was with ``SendAction`` records: the reference."""
+
+    def __init__(self, flows: Sequence[int]):
+        self._order = sorted(flows)
+
+    def next_action(
+        self, queues: Mapping[int, FrameQueue], now_us: int
+    ) -> Optional[Union[SendAction, DropAction]]:
+        best: Optional[int] = None
+        best_slack = 0.0
+        for flow in self._order:
+            queue = queues[flow]
+            if not queue.frames:
+                continue
+            dead = queue.pop_expired_head(now_us)
+            if dead is not None:
+                return DropAction(flow, dead)
+            head = queue.frames[0]
+            slack = tolerable_time(head, now_us)
+            if best is None or slack < best_slack:
+                best, best_slack = flow, slack
+        if best is None:
+            return None
+        frame = queues[best].pop_head()
+        sent, frame.remaining = frame.remaining, 0
+        return SendAction(best, frame, sent, True)
 
 
 def make_stats(mu_a_s=0.04, c_a=1.0, c_s=1.0, mu_s_s=0.03,

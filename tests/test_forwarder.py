@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import drain, make_frame
-from vrsched.forwarder import DropAction, DwrrForwarder
+from helpers import NamedTupleDwrrForwarder, NamedTupleEdfForwarder, drain, make_frame
+from vrsched.forwarder import DropAction, DwrrForwarder, EdfForwarder
 from vrsched.frame_queue import FrameQueue
 
 MS = 1000  # microseconds per millisecond
@@ -154,3 +155,101 @@ class TestNextAction:
     def test_actions_are_immutable(self, action, field):
         with pytest.raises(AttributeError):
             setattr(action, field, 1)
+
+
+# one flow's queue: (size, bound_ms, gamma, arrival_us) per frame, then how it is kept
+FLOW = st.fixed_dictionaries({
+    "frames": st.lists(st.tuples(
+        st.one_of(st.sampled_from([1, 2, 300, 1500, 8000]), st.integers(1, 9000)),
+        st.sampled_from([-5.0, 0.0, 0.5, 1.0, 3.0, 10.0, 40.0, 1000.0]),
+        st.floats(0.01, 1.0),
+        st.integers(0, 5000),
+    ), max_size=6),
+    "ordered": st.booleans(),
+    "revised": st.booleans(),
+    "expire": st.booleans(),
+    "net_state_ms": st.sampled_from([None, -10.0, 0.0, 30.0]),
+    "pinned": st.one_of(st.none(), st.integers(1, 9000)),   # the pinned head's unsent bytes
+    "deficit": st.one_of(
+        st.sampled_from([0.0, 0.25, 0.999, 1.0, 1.5, 1.999, 2.0, 299.0, 5000.0, 1e6]),
+        st.sampled_from([0.0, 0.999, 1.0, 1.999]),   # either side of the first whole bytes
+        st.floats(0.0, 20000.0),
+    ),
+})
+STEP = st.tuples(
+    st.sampled_from([0, 0, 1, 500, 2_000, 20_000, 1_000_000]),   # microseconds to advance
+    st.one_of(st.none(), st.tuples(st.integers(0, 7), st.sampled_from([0.0, 8.0, 1e4, 8e5, 1e7]))),
+)
+
+
+def build_queues(specs):
+    queues = {}
+    for flow, spec in enumerate(specs):
+        q = FrameQueue(ordered=spec["ordered"], revised=spec["revised"], expire=spec["expire"])
+        for k, (size, bound_ms, gamma, arrival_us) in enumerate(spec["frames"], start=1):
+            q.push(make_frame(c=flow + 1, k=k, size=size, gamma=gamma, bound_ms=bound_ms,
+                              arrival_us=arrival_us))
+        q.resort(spec["net_state_ms"])
+        if spec["pinned"] is not None and q.frames:
+            head = q.frames[0]
+            head.in_service = True
+            head.remaining = min(spec["pinned"], head.remaining)
+        queues[flow] = q
+    return queues
+
+
+def action_fields(act):
+    """(kind, flow, frame id, bytes_sent, completed) of an action; None stays None."""
+    if act is None:
+        return None
+    if type(act) is DropAction:
+        return ("drop", act.flow, act.frame.meta.id)
+    flow, frame, sent, completed = act
+    return ("send", flow, frame.meta.id, sent, completed)
+
+
+def queue_state(queues):
+    return {f: [(fr.meta.id, fr.remaining, fr.in_service, fr.queued) for fr in q.frames]
+            for f, q in queues.items()}
+
+
+class TestMatchesTheNamedTupleForwarders:
+    """Each forwarder against its ``SendAction`` reference in ``helpers``, one action at a time.
+
+    Both are driven over equal queues: pinned heads, credit of 0, below
+    one byte and above it, queues that expire frames and queues that do
+    not, and instants past some of the bounds.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edf=st.booleans(),
+        specs=st.lists(FLOW, min_size=1, max_size=8),
+        cursor=st.integers(0, 7),
+        steps=st.lists(STEP, min_size=1, max_size=40),
+    )
+    def test_same_actions_and_state_after_every_step(self, edf, specs, cursor, steps):
+        flows = list(range(len(specs)))
+        new_q, old_q = build_queues(specs), build_queues(specs)
+        if edf:
+            new, old = EdfForwarder(flows), NamedTupleEdfForwarder(flows)
+        else:
+            new, old = DwrrForwarder(flows), NamedTupleDwrrForwarder(flows)
+            new._cursor = old._cursor = cursor % len(flows)
+            for f, spec in enumerate(specs):
+                new.deficit[f] = old.deficit[f] = spec["deficit"]
+        now_us = 0
+        for advance_us, grant in steps:
+            now_us += advance_us
+            if grant is not None and not edf:
+                flow, rate_bps = grant
+                new.replenish(flow % len(flows), rate_bps, 0.05)
+                old.replenish(flow % len(flows), rate_bps, 0.05)
+            act, ref = new.next_action(new_q, now_us), old.next_action(old_q, now_us)
+            assert action_fields(act) == action_fields(ref)
+            if ref is not None and type(ref) is not DropAction:
+                assert type(act) is tuple
+            assert queue_state(new_q) == queue_state(old_q)
+            if not edf:
+                assert new.deficit == old.deficit
+                assert new._cursor == old._cursor
