@@ -10,9 +10,9 @@ checkout runs first, and the file counts the pairs the second checkout
 wins on each metric, in the direction BENCHMARK.json names. With
 ``--reproduce`` it also times ``scripts/reproduce_results.py`` on 1 and 2
 workers in each checkout, in the same alternating pairs, on seeds 1-5 (seed
-1 with ``--seconds 0``). It also runs ``perfbench/run.py --trace 1`` once
-per checkout and workload, on the first seed, and records each layer's
-share of the traced self time and its call count. Example, the parent
+1 with ``--seconds 0``). It also runs ``perfbench/run.py --trace 1
+--seconds 0`` once per checkout and workload, on the first seed, and
+records each layer's share of the traced self time and its call count. Example, the parent
 commit against the one checked out:
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
@@ -124,19 +124,24 @@ def record_reproduce(trees: dict[str, Path], runs: int, seeds: str) -> dict:
     return out
 
 
-def record_layers(trees: dict[str, Path], workloads: list[str], seconds: float,
-                  seed: int) -> dict:
+def record_layers(trees: dict[str, Path], workloads: list[str], seed: int) -> dict:
     """Each layer's ``*.share`` and ``*.calls``, per workload and checkout.
 
-    One ``--trace 1`` invocation per checkout and workload, on ``seed``;
-    the checkouts take turns going first from one workload to the next.
+    One ``--trace 1 --seconds 0`` invocation per checkout and workload, on
+    ``seed``; the checkouts take turns going first from one workload to the
+    next. With ``--seconds 0`` each invocation traces one pass, on the first
+    panel seed, so both checkouts count the work of the same pass; a
+    longer run would take each count's median over however many panel
+    seeds fit, more of them in the faster checkout. That traced pass
+    follows an untraced pass on the same seed and finds its traces cached,
+    so the ``traffic.*`` figures count cache lookups only.
     """
     labels = list(trees)
     out: dict = {"seed": seed}
     for i, workload in enumerate(workloads):
         entry = {}
         for label in labels if i % 2 == 0 else labels[::-1]:
-            result = run_once(trees[label], workload, seed, seconds, trace=1)["result"]
+            result = run_once(trees[label], workload, seed, 0.0, trace=1)["result"]
             entry[label] = {"failed": result["failed"],
                             **{name: m["value"] for name, m in result["metrics"].items()
                                if name.endswith((".share", ".calls"))}}
@@ -180,7 +185,7 @@ def record(spec: dict, trees: dict[str, Path], workloads: list[str], runs: int,
         out["workloads"][workload] = entry
     if reproduce:
         out["reproduce"] = record_reproduce(trees, runs, "1" if seconds == 0 else "1,2,3,4,5")
-    out["layers"] = record_layers(trees, workloads, seconds, seed)
+    out["layers"] = record_layers(trees, workloads, seed)
     return out
 
 

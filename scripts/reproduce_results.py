@@ -54,8 +54,7 @@ def main() -> None:
     out = Path(args.out)
     t0 = time.perf_counter()
 
-    # one run over every family, seed by seed and regime by regime, builds
-    # each trace once and each arrival plan once per regime
+    # one run over every family, seed by seed, builds each trace once
     fams = families()
     results = sweep_grids([grid for _, *grid in fams], seeds, workers)
     code = max(write_sweep(out / name, rows) for (name, *_), rows in zip(fams, results))

@@ -95,15 +95,12 @@ def sweep_grids(grids: list[tuple[SimConfig, list[float], list[str]]],
                 seeds: list[int], workers: int = 1) -> list[list[dict]]:
     """Run (config, bandwidths, policies) grids over the same seeds.
 
-    Cells run seed by seed across every grid, and a seed's cells regime by
-    regime (a stable sort of the grids), so each seed's traces are built
-    once and its arrival plans once per regime, shared by its cells (see
-    ``traffic.cached_trace`` and ``traffic.cached_plan``). Each grid's
-    per-cell summaries come back by bandwidth, policy, seed.
+    Cells run seed by seed across every grid, so each seed's traces are
+    built once, shared by its cells (see ``traffic.cached_trace``). Each
+    grid's per-cell summaries come back by bandwidth, policy, seed.
     """
-    by_regime = sorted(enumerate(grids), key=lambda g: g[1][0].regime)
     cells = [(i, dataclasses.replace(cfg, bottleneck_mbps=b, policy=p, seed=s))
-             for s in seeds for i, (cfg, bandwidths, policies) in by_regime
+             for s in seeds for i, (cfg, bandwidths, policies) in enumerate(grids)
              for b in bandwidths for p in policies]
     for _, cell in cells:
         cell.validate()

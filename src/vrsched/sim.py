@@ -5,12 +5,10 @@ server-side access link (constant delay, optionally with exponential jitter
 per frame), queue at the single bottleneck, and are forwarded by the
 selected policy. A frame reaches the bottleneck at an instant fixed by its
 send instant and the path delay alone, so every arrival is computed up
-front, in an arrival plan, and a run replays them in order: a send is not
-an event. The plan depends on the traces, the server delay and the jitter
-draws, not on the policy or the link, so the runs of one seed and regime
-share one plan (see :func:`vrsched.traffic.cached_plan`). At most one slice
-is ever on the link, so its end sits in one slot, not on a queue; the slice
-that completes a frame is its departure. The frame reaches the client after
+front, in an arrival plan that a run builds when it starts and replays in
+order: a send is not an event. At most one slice is ever on the link, so
+its end sits in one slot, not on a queue; the slice that completes a frame
+is its departure. The frame reaches the client after
 the propagation delay and is acknowledged back to the server, which hears
 the ack at its next send and stamps the resulting RTT into the metadata
 option of that and later frames. A frame's mark is read from its flow's ack
@@ -42,7 +40,7 @@ from .forwarder import DropAction, DwrrForwarder, EdfForwarder
 from .frame_queue import FrameQueue, QueuedFrame
 from .metrics import MetricsCollector, csv_text, summary_csv, write_text
 from .scheduling import FlowStInput, schedule_st
-from .traffic import cached_plan, cached_trace
+from .traffic import cached_trace
 from .video import US_PER_MS, US_PER_S, FlowTrace, FrameMeta, read_trace
 from .wire import MAX_MS, saturate_ms
 
@@ -96,39 +94,25 @@ def wire_deadlines(deadline_ms: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(deadline_ms), 0.0, float(MAX_MS)) + 0.0
 
 
-def _read_only(a: np.ndarray) -> memoryview:
-    a.flags.writeable = False
-    return memoryview(a)
-
-
-def _narrow(a: np.ndarray, top: int) -> memoryview:
-    """``a``, whose values lie in ``0..top``, in the narrowest type that holds them."""
-    return _read_only(a.astype(np.min_scalar_type(top)))
-
-
 @dataclass(frozen=True, eq=False)
 class ArrivalPlan:
     """Every arrival of a run, with the columns its arrivals read.
 
-    It depends only on the traces, the server delay and the jitter draws,
-    so runs that share those share one plan, and nothing in it can be
-    changed. It outlives the run that built it, so each column is kept in
-    the narrowest type that holds its values exactly; the views' items read
-    back as Python ints and floats.
+    It depends only on the traces, the server delay and the jitter draws.
+    Each column is a view of a numpy array, whose items read back as the
+    Python ints and floats the event loop works in.
     """
 
-    arrival_us: memoryview   # each arrival's instant, in arrival order, then NEVER
-    arrival_flow: memoryview
-    arrival_idx: memoryview   # the arriving frame's trace index
+    arrival_us: memoryview   # each arrival's int64 instant, in arrival order, then NEVER
+    arrival_flow: memoryview   # int32
+    arrival_idx: memoryview   # the arriving frame's int32 trace index
     send_us: tuple[memoryview, ...]   # each flow's int64 send instants, in trace order
-    # each frame's deadline as the wire carries it: a whole number of ms up
-    # to 65535, so float32 holds it exactly
-    wire_ddl_ms: tuple[memoryview, ...]
+    wire_ddl_ms: tuple[memoryview, ...]   # each frame's float64 deadline as the wire carries it
 
 
 def build_arrival_plan(traces: list[FlowTrace], seed: int, server_delay_ms: float,
                        jitter_mean_ms: float) -> ArrivalPlan:
-    """The plan of the runs of ``traces``, flow ``f`` on ``traces[f]``.
+    """The arrival plan of a run of ``traces``, flow ``f`` on ``traces[f]``.
 
     Flow ``f``'s jitter is drawn from its own stream of ``seed``, made only
     when there is jitter to draw.
@@ -144,13 +128,13 @@ def build_arrival_plan(traces: list[FlowTrace], seed: int, server_delay_ms: floa
         sends.append(send_us)
         arrivals.append(arrival_instants(send_us, server_delay_ms, jitter_mean_ms, rng))
         ddl_ms = np.fromiter((m.deadline_ms for m in frames), np.float64, len(frames))
-        ddls.append(_read_only(wire_deadlines(ddl_ms).astype(np.float32)))
+        ddls.append(memoryview(wire_deadlines(ddl_ms)))
     instants, flows, idxs = arrival_schedule(sends, arrivals)
     return ArrivalPlan(
-        arrival_us=_read_only(np.append(instants, NEVER)),
-        arrival_flow=_narrow(flows, max(len(traces) - 1, 0)),
-        arrival_idx=_narrow(idxs, max((len(t.frames) - 1 for t in traces), default=0)),
-        send_us=tuple(map(_read_only, sends)),
+        arrival_us=memoryview(np.append(instants, NEVER)),
+        arrival_flow=memoryview(flows),
+        arrival_idx=memoryview(idxs),
+        send_us=tuple(map(memoryview, sends)),
         wire_ddl_ms=tuple(ddls),
     )
 
@@ -267,7 +251,6 @@ class Simulation:
         self.jitter_mean_ms = config.jitter_mean_ms if config.regime == "unstable" else 0.0
 
         self.flows: dict[int, _FlowRuntime] = {}
-        trace_params = []
         for f in range(config.n_flows):
             if config.trace_files:
                 try:
@@ -275,8 +258,7 @@ class Simulation:
                 except ValueError as exc:
                     raise ConfigError(f"trace_files: {exc}") from exc
             else:
-                trace_params.append(config.trace_params(f))
-                trace = cached_trace(trace_params[-1], config.seed)
+                trace = cached_trace(config.trace_params(f), config.seed)
             if trace.frames and not trace.frames[-1].send_time_ms <= MAX_SEND_MS:
                 source = "trace_files" if config.trace_files else "video_s"
                 raise ConfigError(f"{source}: flow {f} sends at "
@@ -295,9 +277,6 @@ class Simulation:
                 ),
                 stats=ArrivalServiceStats(alpha=config.ewma_alpha),
             )
-        # what the arrivals depend on; file traces are not cached, so neither is their plan
-        self._plan_key = None if config.trace_files else (
-            config.seed, tuple(trace_params), self.server_delay_ms, self.jitter_mean_ms)
 
         self._queues = {f: rt.queue for f, rt in self.flows.items()}
         self.forwarder = (EdfForwarder if kind == EDF else DwrrForwarder)(list(self.flows))
@@ -532,14 +511,9 @@ class Simulation:
                     f"+ dropped {rt.dropped} + outstanding {outstanding}"
                 )
 
-    def arrival_plan(self) -> ArrivalPlan:
-        """This run's arrival plan: the cached one when the last plan built has its key."""
-        return cached_plan(self._plan_key, build_arrival_plan,
-                           [rt.trace for rt in self.flows.values()], self.config.seed,
-                           self.server_delay_ms, self.jitter_mean_ms)
-
     def run(self) -> RunResult:
-        plan = self.arrival_plan()
+        plan = build_arrival_plan([rt.trace for rt in self.flows.values()], self.config.seed,
+                                  self.server_delay_ms, self.jitter_mean_ms)
         for f, rt in self.flows.items():
             rt.send_us, rt.wire_ddl_ms = plan.send_us[f], plan.wire_ddl_ms[f]
         arrival_us, arrival_flow, arrival_idx = plan.arrival_us, plan.arrival_flow, plan.arrival_idx

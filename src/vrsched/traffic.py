@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -295,16 +294,13 @@ def generate_trace(params: TraceParams, seed: int) -> FlowTrace:
     )
 
 
-# The traces of one seed, keyed by (params, seed), and the arrival plan of
-# its runs, keyed by what the plan depends on; see cached_trace and cached_plan.
+# The traces of one seed, keyed by (params, seed); see cached_trace.
 _TRACE_CACHE: dict[tuple[TraceParams, int], FlowTrace] = {}
-_PLAN_CACHE: dict[tuple, Any] = {}
 
 
 def clear_caches() -> None:
-    """Forget the cached traces and the cached arrival plan."""
+    """Forget the cached traces."""
     _TRACE_CACHE.clear()
-    _PLAN_CACHE.clear()
 
 
 def cached_trace(params: TraceParams, seed: int) -> FlowTrace:
@@ -312,9 +308,8 @@ def cached_trace(params: TraceParams, seed: int) -> FlowTrace:
 
     A trace depends only on ``(params, seed)``, so runs of one seed that
     differ in policy, link or regime share their traces, which are
-    immutable. The cache, and the plan cache with it, is emptied before a
-    trace of another seed is made, so two seeds' traces are never held at
-    once.
+    immutable. The cache is emptied before a trace of another seed is
+    made, so two seeds' traces are never held at once.
     """
     key = (params, seed)
     trace = _TRACE_CACHE.get(key)
@@ -323,20 +318,3 @@ def cached_trace(params: TraceParams, seed: int) -> FlowTrace:
             clear_caches()
         trace = _TRACE_CACHE[key] = generate_trace(params, seed)
     return trace
-
-
-def cached_plan(key: Optional[tuple], build: Callable[..., Any], *args: Any) -> Any:
-    """``build(*args)`` through a cache that holds one plan, the last one built.
-
-    ``key`` names everything the plan depends on; a ``None`` key is never
-    cached. The cache is emptied before a plan is built and whenever the
-    trace cache is, so at most one seed's plan is held, and only beside
-    that seed's traces.
-    """
-    plan = _PLAN_CACHE.get(key)   # a None key is never stored
-    if plan is None:
-        _PLAN_CACHE.clear()
-        plan = build(*args)
-        if key is not None:
-            _PLAN_CACHE[key] = plan
-    return plan

@@ -84,9 +84,10 @@ def test_layer_runs_take_turns_going_first(monkeypatch):
             "sim.self_s": {"value": 0.5}}}}
 
     monkeypatch.setattr(module, "run_once", fake)
-    got = module.record_layers({"a": Path("a"), "b": Path("b")}, ["w1", "w2"], 30.0, 5)
-    assert calls == [("a", "w1", 5, 30.0, 1), ("b", "w1", 5, 30.0, 1),
-                     ("b", "w2", 5, 30.0, 1), ("a", "w2", 5, 30.0, 1)]
+    got = module.record_layers({"a": Path("a"), "b": Path("b")}, ["w1", "w2"], 5)
+    # one traced pass each, so both checkouts count the same seed's work
+    assert calls == [("a", "w1", 5, 0.0, 1), ("b", "w1", 5, 0.0, 1),
+                     ("b", "w2", 5, 0.0, 1), ("a", "w2", 5, 0.0, 1)]
     assert got == {"seed": 5, **{w: {label: {"failed": 0, "sim.share": 1.0, "sim.calls": 7.0}
                                      for label in ("a", "b")} for w in ("w1", "w2")}}
     assert list(got["w2"]) == ["a", "b"]

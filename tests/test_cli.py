@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from vrsched import sim, traffic
+from vrsched import traffic
 from vrsched.cli import aggregate, main, sweep_grid, sweep_grids
 from vrsched.config import SimConfig, apply_overrides, load_config, ConfigError
-from vrsched.sim import build_arrival_plan
+from vrsched.traffic import generate_trace
 from vrsched.video import TRACE_HEADER
 
 REPRODUCE = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
@@ -307,23 +307,25 @@ class TestSweep:
         assert (sweep_grids(grids, [1, 2], workers)
                 == [sweep_grid(c, b, p, [1, 2]) for c, b, p in grids])
 
-    def test_reproduction_builds_one_plan_per_seed_and_regime(self, monkeypatch):
+    def test_reproduction_builds_each_trace_once(self, monkeypatch):
         spec = importlib.util.spec_from_file_location("reproduce_results", REPRODUCE)
         reproduce = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(reproduce)
         built = []
 
-        def counting(traces, seed, server_delay_ms, jitter_mean_ms):
-            built.append((seed, jitter_mean_ms))
-            return build_arrival_plan(traces, seed, server_delay_ms, jitter_mean_ms)
+        def counting(params, seed):
+            built.append((params.flow, seed))
+            return generate_trace(params, seed)
 
-        monkeypatch.setattr(sim, "build_arrival_plan", counting)
+        monkeypatch.setattr(traffic, "generate_trace", counting)
         traffic.clear_caches()
-        # the families' grids on a 2-s video: the order of the runs is what counts
+        # the families' grids on a 2-s video: the order of the runs is what
+        # counts, since the trace cache holds one seed at a time
         grids = [(dataclasses.replace(cfg, video_s=2.0), *rest)
                  for _, cfg, *rest in reproduce.families()]
         sweep_grids(grids, [1, 2], workers=1)
-        assert built == [(1, 0.0), (1, 15.0), (2, 0.0), (2, 15.0)]
+        n_flows = grids[0][0].n_flows
+        assert built == [(f, s) for s in (1, 2) for f in range(n_flows)]
 
     def test_ablation_preset_policy_set(self, tmp_path):
         cfg = write_config(tmp_path, video_s=2.0)

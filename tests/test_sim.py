@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import inject_delay, replay_arrival_order
 from vrsched import traffic
 from vrsched.config import ConfigError, SimConfig
-from vrsched.sim import Simulation, arrival_instants, arrival_schedule, run, wire_deadlines
+from vrsched.sim import (Simulation, arrival_instants, arrival_schedule, build_arrival_plan, run,
+                         wire_deadlines)
 from vrsched.traffic import generate_trace
 from vrsched.video import TRACE_HEADER, US_PER_MS, write_trace
 from vrsched.wire import saturate_ms
@@ -32,6 +33,12 @@ def delay_args(cfg):
     """(server delay, jitter mean) as the simulator reads them off ``cfg``."""
     sim = Simulation(dataclasses.replace(cfg, n_flows=0))
     return sim.server_delay_ms, sim.jitter_mean_ms
+
+
+def arrival_plan(sim):
+    """The arrival plan ``sim.run()`` builds, on the run's traces."""
+    return build_arrival_plan([rt.trace for rt in sim.flows.values()], sim.config.seed,
+                              sim.server_delay_ms, sim.jitter_mean_ms)
 
 
 class TestInjectDelay:
@@ -164,7 +171,7 @@ class TestArrivalOrder:
         # twice in one us
         cfg = SimConfig(n_flows=n_flows, regime=regime, chunk_s=chunk_s, fps=30 / chunk_s,
                         video_s=n_chunks * chunk_s, jitter_mean_ms=jitter_mean_ms, seed=seed)
-        plan = Simulation(cfg).arrival_plan()
+        plan = arrival_plan(Simulation(cfg))
         send = [np.asarray(s) for s in plan.send_us]
         arrival = [np.empty(len(s), dtype=np.int64) for s in send]
         order = list(zip(plan.arrival_flow, plan.arrival_idx))
@@ -543,33 +550,19 @@ ALL_POLICIES = ("proposed", "rr", "edf", "no-order",
 @pytest.fixture
 def empty_caches(monkeypatch):
     monkeypatch.setattr(traffic, "_TRACE_CACHE", {})
-    monkeypatch.setattr(traffic, "_PLAN_CACHE", {})
 
 
 @pytest.mark.usefixtures("empty_caches")
 class TestArrivalPlan:
-    """The runs of one seed and regime share one arrival plan."""
+    """Each run builds its own arrival plan on its seed's shared traces."""
 
-    def test_runs_of_one_seed_share_one_plan(self):
-        plan = Simulation(small_config(policy="proposed", seed=3)).arrival_plan()
-        other = Simulation(small_config(policy="rr", bottleneck_mbps=9.0, seed=3))
-        assert other.arrival_plan() is plan
-        other.run()
-        for f, rt in other.flows.items():
-            assert rt.send_us is plan.send_us[f]
-            assert rt.wire_ddl_ms is plan.wire_ddl_ms[f]
-        jittered = Simulation(small_config(policy="proposed", regime="unstable", seed=3))
-        assert jittered.arrival_plan() is not plan
-        assert bytes(jittered.arrival_plan().arrival_us) != bytes(plan.arrival_us)
-
-    def test_another_seed_frees_the_old_plan(self, monkeypatch):
+    def test_another_seed_frees_the_old_traces_first(self, monkeypatch):
         sim = Simulation(small_config(seed=3))
         sim.run()
-        plan_ref = weakref.ref(sim.arrival_plan())
-        refs = [plan_ref, *(weakref.ref(rt.trace) for rt in sim.flows.values())]
+        refs = [weakref.ref(rt.trace) for rt in sim.flows.values()]
         del sim
         gc.collect()
-        assert all(ref() is not None for ref in refs)   # the caches hold them
+        assert all(ref() is not None for ref in refs)   # the cache holds them
         alive = []
 
         def checking(params, seed):
@@ -579,35 +572,9 @@ class TestArrivalPlan:
 
         monkeypatch.setattr(traffic, "generate_trace", checking)
         Simulation(small_config(seed=4)).run()
-        gc.collect()
-        assert plan_ref() is None
         assert alive == [[False] * len(refs)] * 2   # the old seed was gone before each trace
 
-    def test_trace_file_runs_do_not_share_a_plan(self, tmp_path):
-        cfg = small_config()
-        paths = []
-        for f in range(cfg.n_flows):
-            paths.append(str(tmp_path / f"flow{f}.csv"))
-            write_trace(generate_trace(cfg.trace_params(f), cfg.seed), paths[-1])
-        cfg = dataclasses.replace(cfg, trace_files=tuple(paths))
-        plan = Simulation(cfg).arrival_plan()
-        again = Simulation(cfg).arrival_plan()
-        assert again is not plan
-        assert bytes(again.arrival_us) == bytes(plan.arrival_us)
-        assert not traffic._PLAN_CACHE
-
-    def test_shared_arrays_reject_writes(self):
-        plan = Simulation(small_config(regime="unstable")).arrival_plan()
-        views = [plan.arrival_us, plan.arrival_flow, plan.arrival_idx,
-                 *plan.send_us, *plan.wire_ddl_ms]
-        for view in views:
-            assert view.readonly
-            with pytest.raises(TypeError):
-                view[0] = view[0]
-            with pytest.raises(ValueError):
-                np.asarray(view)[0] = 0
-
-    def test_a_reused_plan_makes_no_generator(self, monkeypatch):
+    def test_a_cached_seed_makes_only_jitter_generators(self, monkeypatch):
         run(small_config(policy="proposed", regime="unstable"))
         made = []
         default_rng = np.random.default_rng
@@ -617,10 +584,12 @@ class TestArrivalPlan:
             return default_rng(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", counting)
+        n_flows = small_config().n_flows
         run(small_config(policy="edf", regime="unstable", bottleneck_mbps=8.0))
-        assert made == []
+        assert len(made) == n_flows   # jitter per flow
+        made.clear()
         run(small_config(policy="edf", regime="unstable", seed=6))
-        assert len(made) == 3 * small_config().n_flows   # sizes, walk and jitter per flow
+        assert len(made) == 3 * n_flows   # sizes, walk and jitter per flow
 
     @pytest.mark.parametrize("regime", ["stable", "unstable"])
     def test_policy_outputs_do_not_depend_on_run_order(self, regime):
@@ -667,7 +636,7 @@ class TestWireDeadlines:
 
     def test_plan_column_is_each_frames_wire_deadline(self):
         sim = Simulation(small_config(regime="unstable"))
-        plan = sim.arrival_plan()
+        plan = arrival_plan(sim)
         for f, rt in sim.flows.items():
             want = [float(saturate_ms(m.deadline_ms)) for m in rt.trace.frames]
             assert _bits(plan.wire_ddl_ms[f]) == _bits(want)
