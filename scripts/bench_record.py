@@ -12,8 +12,8 @@ wins on each metric, in the direction BENCHMARK.json names. With
 workers in each checkout, in the same alternating pairs, on seeds 1-5 (seed
 1 with ``--seconds 0``). It also runs ``perfbench/run.py --trace 1
 --seconds 0`` once per checkout and workload, on the first seed, and
-records each layer's share of the traced self time and its call count. Example, the parent
-commit against the one checked out:
+records each layer's share of the traced self time and its call count.
+Example, the parent commit against the one checked out:
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python scripts/bench_record.py --number 13 --tree parent=../parent \\
